@@ -1,4 +1,4 @@
-"""Operator command line: run, verify, bench, gen, top, ingest.
+"""Operator command line: run, verify, gen, top, ingest.
 
 Event output is byte-deterministic for a fixed (config, input) pair; wall
 times and other run summaries go to stderr so they never pollute files or
@@ -33,8 +33,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="per-round magnitude, absolute or as N%% of its maximum")
     p.add_argument("--thresholds", default=None,
                    help="explicit T_2,...,T_nmax overriding the derived schedule")
-    p.add_argument("--no-star", action="store_true",
-                   help="materialize supersets of saturated sets explicitly")
     p.add_argument("--universe", type=int, default=None,
                    help="declare the vertex universe size up front")
 
@@ -57,7 +55,7 @@ def _make_engine(args, cfg: DensityConfig) -> DenseSubgraphEngine:
     graph = WeightedGraph()
     if args.universe:
         graph.ensure_universe(args.universe)
-    return DenseSubgraphEngine(cfg, graph, star_mode=not args.no_star)
+    return DenseSubgraphEngine(cfg, graph)
 
 
 @contextmanager
@@ -114,49 +112,6 @@ def cmd_verify(args) -> int:
                       file=sys.stderr)
                 return 1
     print(f"PASS {count} updates, {checked} checkpoints", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    updates = list(read_updates(args.updates))
-    modes = [True, False] if args.compare_star else [not args.no_star]
-    thresholds = ([float(x) for x in args.threshold_grid.split(",")]
-                  if args.threshold_grid else [args.threshold])
-    nmaxes = ([int(x) for x in args.nmax_grid.split(",")]
-              if args.nmax_grid else [args.nmax])
-
-    def fresh_graph():
-        g = WeightedGraph()
-        if args.universe:
-            g.ensure_universe(args.universe)
-        return g
-
-    def timed(cfg: DensityConfig, star: bool) -> float:
-        samples = []
-        for _ in range(args.runs):
-            engine = DenseSubgraphEngine(cfg, fresh_graph(), star_mode=star)
-            t0 = time.perf_counter()
-            for u in updates:
-                engine.process(u)
-            samples.append(time.perf_counter() - t0)
-        return sorted(samples)[len(samples) // 2]
-
-    for threshold in thresholds:
-        for nmax in nmaxes:
-            point = argparse.Namespace(**{**vars(args), "threshold": threshold,
-                                          "nmax": nmax})
-            cfg = build_config(point)
-            results = {}
-            for star in modes:
-                median = timed(cfg, star)
-                results[star] = median
-                mode = "star" if star else "explicit"
-                print(f"mode={mode}\tthreshold={threshold}\tnmax={nmax}\t"
-                      f"runs={args.runs}\tupdates={len(updates)}\t"
-                      f"median_secs={median:.4f}")
-            if args.compare_star and results[True] > 0:
-                print(f"speedup\tthreshold={threshold}\tnmax={nmax}\t"
-                      f"ratio={results[False] / results[True]:.2f}")
     return 0
 
 
@@ -235,17 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="levelwise")
     p.add_argument("--oracle-cap", type=int, default=25)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time a stream, optionally star vs explicit")
-    _add_config_flags(p)
-    p.add_argument("--updates", required=True)
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--compare-star", action="store_true")
-    p.add_argument("--threshold-grid", default=None,
-                   help="comma-separated T values to sweep")
-    p.add_argument("--nmax-grid", default=None,
-                   help="comma-separated n_max values to sweep")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a synthetic update stream")
     p.add_argument("--out", default=None, help="stream file (default stdout)")

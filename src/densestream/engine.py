@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .density import EPS, DensityConfig
 from .graph import EdgeUpdate, WeightedGraph
@@ -101,7 +101,13 @@ class DenseSubgraphEngine:
         return self.process_update(update.a, update.b, update.delta, update.seq)
 
     def process_update(self, a: int, b: int, delta: float, seq: int = 0) -> list[DensityEvent]:
-        """Apply one weight update and return the emitted events, in order."""
+        """Apply one weight update and return the emitted events, in order.
+
+        An update rejected for its input raises before any state changes.
+        """
+        if delta > 0:  # first: an overflowing budget must reject the update unapplied
+            self._budget = (self.iteration_cap if self.iteration_cap is not None
+                            else self.cfg.iteration_budget(delta))
         prev_universe = self.graph.num_vertices
         _, w_after = self.graph.apply_update(a, b, delta)
         self.stats.updates += 1
@@ -115,8 +121,6 @@ class DenseSubgraphEngine:
             if delta < 0:
                 self._negative()
             else:
-                self._budget = (self.iteration_cap if self.iteration_cap is not None
-                                else self.cfg.iteration_budget(delta))
                 self._positive(prev_universe)
             if not self.star_mode:
                 self._expand_chains()
@@ -128,13 +132,6 @@ class DenseSubgraphEngine:
             for ev in events:
                 self.event_sink(ev)
         return events
-
-    def run(self, updates: Iterable[EdgeUpdate]) -> int:
-        """Process a whole stream; returns the number of events emitted."""
-        n = 0
-        for u in updates:
-            n += len(self.process(u))
-        return n
 
     def snapshot_views(self, expand: bool = True) -> tuple[
             dict[tuple[int, ...], float], dict[tuple[int, ...], float]]:
@@ -148,17 +145,19 @@ class DenseSubgraphEngine:
         bar = cfg.threshold - EPS
         dense: dict[tuple[int, ...], float] = {}
         output: dict[tuple[int, ...], float] = {}
+        cores: dict[int, tuple[int, ...]] = {}  # id(chain parent) -> its set
         for vs, node in self.index.items():
             m = node.meta
             d = m.score / sizes[m.card]
             dense[vs] = d
             if d >= bar:
                 output[vs] = d
+            if m.star_depth:
+                cores[id(node)] = vs
         if expand and self.star_mode:
             for parent, depth in self.index.star_parents():
                 m = parent.meta
-                vs = self.index.vertices_of(parent)
-                for evs in self._implied_sets(vs, depth):
+                for evs in self._implied_sets(cores[id(parent)], depth):
                     if evs not in dense:
                         d = m.score / sizes[len(evs)]
                         dense[evs] = d
@@ -200,32 +199,40 @@ class DenseSubgraphEngine:
     # -- implied-set enumeration ------------------------------------------------------
 
     def _free_candidates(self, vs: tuple[int, ...]) -> list[int]:
-        gamma = self.graph.merged_neighborhood(vs)
-        members = set(vs)
-        return [y for y in range(1, self.graph.num_vertices + 1)
-                if y not in members and y not in gamma]
+        n = self.graph.num_vertices
+        taken = set(vs).union(*map(self.graph.neighbors, vs))
+        if len(taken) == n:
+            return []
+        return [y for y in range(1, n + 1) if y not in taken]
 
     def _implied_sets(self, vs: tuple[int, ...], depth: int,
-                      exact_depth: Optional[int] = None):
+                      exact_depth: Optional[int] = None) -> list[tuple[int, ...]]:
         """Extensions of ``vs`` by up to ``depth`` pairwise-disconnected free
         vertices (exactly ``exact_depth`` of them when given), sorted."""
         cand = self._free_candidates(vs)
-        g = self.graph
+        if not cand:
+            return []
+        if depth == 1 and exact_depth in (None, 1):
+            return [_with(vs, y) for y in cand]
+        nbrs = self.graph.neighbors
+        out: list[tuple[int, ...]] = []
         chosen: list[int] = []
 
-        def rec(start: int):
+        def rec(start: int) -> None:
             if chosen and (exact_depth is None or len(chosen) == exact_depth):
-                yield tuple(sorted(vs + tuple(chosen)))
+                out.append(tuple(sorted(vs + tuple(chosen))))
             if len(chosen) == depth:
                 return
             for i in range(start, len(cand)):
                 y = cand[i]
-                if all(g.weight(y, z) == 0.0 for z in chosen):
+                row = nbrs(y)
+                if not any(z in row for z in chosen):
                     chosen.append(y)
-                    yield from rec(i + 1)
+                    rec(i + 1)
                     chosen.pop()
 
-        yield from rec(0)
+        rec(0)
+        return out
 
     # -- event plumbing -----------------------------------------------------------------
 
@@ -238,13 +245,8 @@ class DenseSubgraphEngine:
     def _negative(self) -> None:
         a, b = self._lo, self._hi
         cfg = self.cfg
-        victims = []
-        for vs, node in list(self.index.iterate_containing(a, b)):
-            if node.label is STAR or node.meta is None:
-                continue
-            if a in vs and b in vs:
-                victims.append((node, vs))
-        for node, vs in victims:
+        victims = list(self.index.iterate_containing_both(a, b))
+        for vs, node in victims:
             m = node.meta
             s_new = m.score + self._delta
             was_out = cfg.is_output_dense(m.card, m.score)
@@ -361,17 +363,26 @@ class DenseSubgraphEngine:
             # Newly able to absorb any vertex: extensions by a disconnected
             # vertex are covered by the star chain, but pairs joined by an
             # edge not touching the set contribute weight and must be seeded.
-            members = set(vs)
-            for y, z, w in sorted(self.graph.edges()):
-                if y in members or z in members:
-                    continue
-                s = score + gamma.get(y, 0.0) + gamma.get(z, 0.0) + w
-                self._probe(_with(_with(vs, y), z), s, i + 1)
+            self._probe_edge_pairs(vs, score, gamma, i + 1)
+
+    def _probe_edge_pairs(self, vs: tuple[int, ...], score: float,
+                          gamma: dict[int, float], i: int) -> None:
+        """Probe ``vs`` plus both endpoints of every edge disjoint from it.
+
+        ``gamma`` is the merged neighborhood of ``vs``; edges are visited in
+        sorted order so that discovery (and event) order is deterministic.
+        """
+        members = set(vs)
+        for y, z, w in sorted(self.graph.edges()):
+            if y in members or z in members:
+                continue
+            s = score + gamma.get(y, 0.0) + gamma.get(z, 0.0) + w
+            self._probe(_with(_with(vs, y), z), s, i)
 
     def _coordinate(self, vs: tuple[int, ...], y: int) -> float:
         """Total weight between a vertex set and one outside vertex."""
-        g = self.graph
-        return sum(g.weight(v, y) for v in vs)
+        row = self.graph.neighbors(y)
+        return sum([row.get(v, 0.0) for v in vs])
 
     def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
         """Augment a one-endpoint set with the other endpoint."""
@@ -414,13 +425,7 @@ class DenseSubgraphEngine:
             pre = m.score - self._delta
             if cfg.free_extension_depth(m.card, pre) != 1:
                 return
-            gamma = self.graph.merged_neighborhood(vs)
-            members = set(vs)
-            for y, z, w in sorted(self.graph.edges()):
-                if y in members or z in members:
-                    continue
-                s = m.score + gamma.get(y, 0.0) + gamma.get(z, 0.0) + w
-                self._probe(_with(_with(vs, y), z), s, 1)
+            self._probe_edge_pairs(vs, m.score, self.graph.merged_neighborhood(vs), 1)
         elif ina or inb:
             other = b if ina else a
             if self._coordinate(vs, other) == self._delta:

@@ -8,6 +8,7 @@ capped).  Single writer; reads are safe between updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -64,9 +65,6 @@ class WeightedGraph:
         """The neighborhood vector of u: neighbor -> positive weight."""
         return self._adj.get(u, {})
 
-    def degree(self, u: int) -> int:
-        return len(self._adj.get(u, {}))
-
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """All positive-weight edges as (u, v, w) with u < v."""
         for u, nbrs in self._adj.items():
@@ -77,10 +75,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return sum(len(n) for n in self._adj.values()) // 2
 
-    def active_vertices(self) -> list[int]:
-        """Vertices with at least one incident edge, ascending."""
-        return sorted(u for u, nbrs in self._adj.items() if nbrs)
-
     # -- mutation ---------------------------------------------------------------
 
     def apply_update(self, a: int, b: int, delta: float) -> tuple[float, float]:
@@ -88,18 +82,22 @@ class WeightedGraph:
 
         Weights are clamped at zero (tiny negative residue from decayed
         recomputation is tolerated up to EPS); a pair reaching zero is
-        dropped from both adjacency maps.
+        dropped from both adjacency maps.  A rejected update changes nothing.
         """
         if a == b:
             raise GraphError(f"self-loop update on vertex {a}")
-        self._touch_vertex(a)
-        self._touch_vertex(b)
+        lo, hi = (a, b) if a < b else (b, a)
+        if lo < 1:
+            raise GraphError(f"vertex ids must be positive, got {lo}")
         before = self.weight(a, b)
         after = before + delta
+        if not math.isfinite(after):
+            raise GraphError(f"update ({a},{b},{delta}) gives non-finite weight {after}")
         if after < -EPS:
             raise GraphError(
                 f"update ({a},{b},{delta}) would drive weight {before} below zero"
             )
+        self._touch_vertex(hi)  # covers lo as well; raises above the cap
         if after <= EPS:
             after = 0.0
             self._adj.get(a, {}).pop(b, None)
@@ -108,9 +106,6 @@ class WeightedGraph:
             self._adj.setdefault(a, {})[b] = after
             self._adj.setdefault(b, {})[a] = after
         return before, after
-
-    def apply(self, update: EdgeUpdate) -> tuple[float, float]:
-        return self.apply_update(update.a, update.b, update.delta)
 
     # -- subgraph queries ---------------------------------------------------------
 

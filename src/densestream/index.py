@@ -35,15 +35,14 @@ class SubgraphMeta:
     is the length of the free-extension chain below the node.
     """
 
-    __slots__ = ("score", "card", "tag", "tag_epoch", "epoch", "star_depth")
+    __slots__ = ("score", "card", "tag", "tag_epoch", "star_depth")
 
-    def __init__(self, score: float, card: int, epoch: int = 0,
+    def __init__(self, score: float, card: int,
                  tag: Optional[int] = None, tag_epoch: int = -1):
         self.score = score
         self.card = card
         self.tag = tag
         self.tag_epoch = tag_epoch
-        self.epoch = epoch
         self.star_depth = 0
 
     def iteration_tag(self, epoch: int) -> Optional[int]:
@@ -136,10 +135,12 @@ class SubgraphIndex:
         whose free extensions the node represents.
         """
         out = []
-        while node is not None and node.label is not None:
-            if node.label is not STAR:
-                out.append(node.label)
+        label = node.label
+        while label is not None:
+            if label is not STAR:
+                out.append(label)
             node = node.parent
+            label = node.label
         out.reverse()
         return tuple(out)
 
@@ -164,11 +165,10 @@ class SubgraphIndex:
             node = child
         if node.meta is None:
             self._entry_count += 1
-            node.meta = SubgraphMeta(score, card, epoch, tag, epoch if tag is not None else -1)
+            node.meta = SubgraphMeta(score, card, tag, epoch if tag is not None else -1)
         else:
             m = node.meta
             m.score = score
-            m.epoch = epoch
             m.tag = tag
             m.tag_epoch = epoch if tag is not None else -1
         return node
@@ -227,7 +227,7 @@ class SubgraphIndex:
         meta = node.meta
         if meta is None:
             raise IndexError_("star chains hang below indexed entries only")
-        if depth < 0 or meta.card + depth > self._max_card_guard(meta.card, depth):
+        if depth < 0:
             raise IndexError_("star depth out of range")
         current = meta.star_depth
         if depth == current:
@@ -261,25 +261,6 @@ class SubgraphIndex:
         meta.star_depth = depth
         return removed
 
-    def _max_card_guard(self, card: int, depth: int) -> int:
-        # Chains may not extend past the validator's world; the engine passes
-        # depths already capped at n_max - card, so only sanity-check here.
-        return card + depth
-
-    def mark_too_dense(self, node: _Node, n_max: int) -> None:
-        """Ensure the entry carries at least a length-1 chain."""
-        if node.meta is None:
-            raise IndexError_("not an indexed set")
-        if node.meta.card >= n_max:
-            raise IndexError_("full-cardinality sets cannot be too-dense")
-        if node.meta.star_depth == 0:
-            self.set_star_depth(node, 1)
-
-    def unmark_too_dense(self, node: _Node) -> None:
-        if node.meta is None or node.meta.star_depth == 0:
-            raise IndexError_("no star chain to remove")
-        self.set_star_depth(node, 0)
-
     def star_parents(self) -> Iterator[tuple[_Node, int]]:
         """Entries carrying a chain, as (entry node, chain depth), deduplicated."""
         seen = set()
@@ -293,19 +274,32 @@ class SubgraphIndex:
 
     # -- iteration -----------------------------------------------------------------
 
-    def _subtree(self, node: _Node, base: tuple[int, ...],
-                 prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
-        stack = [(node, base)]
+    def _subtrees(self, roots: list[tuple[_Node, tuple[int, ...]]],
+                  prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
+        """Depth-first walk below each (node, vertices above it) root in
+        turn, yielding meta-bearing and star-chain nodes."""
+        stack = roots[::-1]
+        pop, push = stack.pop, stack.append
         while stack:
-            n, below = stack.pop()
-            if n.label == prune_label:
+            n, below = pop()
+            label = n.label
+            if label == prune_label:
                 continue
-            vs = below if n.label is STAR else below + (n.label,)
-            if n.meta is not None or n.label is STAR:
-                yield vs, n
-            if n.children:
-                for label in sorted(n.children, reverse=True):
-                    stack.append((n.children[label], vs))
+            if label is STAR:
+                yield below, n
+                vs = below
+            else:
+                vs = below + (label,)
+                if n.meta is not None:
+                    yield vs, n
+            children = n.children
+            if children:
+                for label in sorted(children, reverse=True):
+                    push((children[label], vs))
+
+    def _roots(self, label) -> list[tuple[_Node, tuple[int, ...]]]:
+        """(node, vertices above it) for every node carrying ``label``."""
+        return [(n, self.vertices_of(n.parent)) for n in self.inverted_list(label)]
 
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
@@ -317,32 +311,40 @@ class SubgraphIndex:
         """
         if not a < b:
             raise IndexError_("iterate_containing expects a < b")
-        for head in self.inverted_list(b):
-            yield from self._subtree(head, self.vertices_of(head.parent))
-        for head in self.inverted_list(a):
-            yield from self._subtree(head, self.vertices_of(head.parent),
-                                     prune_label=b)
+        yield from self._subtrees(self._roots(b))
+        yield from self._subtrees(self._roots(a), prune_label=b)
+        cores: dict[int, tuple[int, ...]] = {}  # id(chain parent) -> its set
         for star in self.inverted_list(STAR):
-            core = self.vertices_of(star)
+            parent = star.parent
+            while parent.label is STAR:
+                parent = parent.parent
+            core = cores.get(id(parent))
+            if core is None:
+                core = cores[id(parent)] = self.vertices_of(parent)
             if a not in core and b not in core:
                 yield core, star
 
-    def entries(self) -> Iterator[_Node]:
-        """All meta-bearing nodes, in sorted vertex-set order."""
-        for _vs, node in self.items():
-            yield node
+    def iterate_containing_both(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
+        """Every indexed set containing both a and b (a < b), in the order
+        iterate_containing yields them; star-chain nodes are left out."""
+        roots = [(n, above) for n, above in self._roots(b) if a in above]
+        for vs, node in self._subtrees(roots):
+            if node.label is not STAR:
+                yield vs, node
 
     def items(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """(vertices, node) for every indexed set, in sorted set order."""
         stack: list[tuple[_Node, tuple[int, ...]]] = [(self.root, ())]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, vs = stack.pop()
+            node, vs = pop()
             if node.meta is not None:
                 yield vs, node
-            if node.children:
-                for label in sorted(node.children, reverse=True):
+            children = node.children
+            if children:
+                for label in sorted(children, reverse=True):
                     if label is not STAR:
-                        stack.append((node.children[label], vs + (label,)))
+                        push((children[label], vs + (label,)))
 
     # -- structural audit (test support) ------------------------------------------
 

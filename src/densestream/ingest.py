@@ -63,6 +63,8 @@ class DecayedCounts:
 
     def observe(self, t: float, entities: Iterable[str]) -> None:
         """Count one document at time t mentioning the given entities."""
+        if not math.isfinite(t):
+            raise IngestError(f"document timestamp {t} is not finite")
         if self._clock is not None and t < self._clock - TIME_SLACK:
             raise IngestError(f"document timestamp {t} precedes clock {self._clock}")
         t = max(t, self._clock) if self._clock is not None else t
@@ -221,9 +223,9 @@ class DocumentIngestor:
     def observe_document(self, t: float, entities: Iterable[str]) -> None:
         """Count a document; weights are not recomputed until the flush."""
         ents = sorted(set(entities))
+        self.counts.observe(t, ents)  # first, so a rejected document registers nothing
         for e in ents:
             self.dictionary.id_for(e)  # ids follow first appearance, not first edge
-        self.counts.observe(t, ents)
 
     def flush_updates(self, entities: Iterable[str]) -> list[EdgeUpdate]:
         """Re-weigh every pair incident to the given entities.
@@ -262,10 +264,6 @@ class DocumentIngestor:
         self.observe_document(t, entities)
         return self.flush_updates(entities)
 
-    def run(self, documents: Iterable[tuple[float, list[str]]]) -> Iterator[EdgeUpdate]:
-        for t, ents in documents:
-            yield from self.process_document(t, ents)
-
 
 def parse_document_line(line: str, lineno: int = 0) -> tuple[float, list[str]]:
     """One document per line: ``<timestamp>`` TAB ``<entity>[,<entity>...]``."""
@@ -278,6 +276,8 @@ def parse_document_line(line: str, lineno: int = 0) -> tuple[float, list[str]]:
         t = float(stamp)
     except ValueError as exc:
         raise IngestError(f"line {lineno}: bad timestamp {stamp!r}") from exc
+    if not math.isfinite(t):
+        raise IngestError(f"line {lineno}: non-finite timestamp {stamp!r}")
     entities = [e for e in rest.split(",") if e] if rest else []
     return t, entities
 

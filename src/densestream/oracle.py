@@ -46,36 +46,39 @@ def _levelwise(graph: WeightedGraph, cfg: DensityConfig) -> dict[tuple[int, ...]
     n_univ = graph.num_vertices
     sizes = cfg._sizes
     bars = [t - EPS for t in cfg._thresholds]
-    dense: dict[tuple[int, ...], float] = {}
-    level: dict[tuple[int, ...], float] = {}
+    dense: dict[tuple[int, ...], float] = {}  # set -> density
+    # level: bitmask of a dense set -> (sorted vertices, score)
+    level: dict[int, tuple[tuple[int, ...], float]] = {}
     pair_bar, pair_size = bars[2], sizes[2]
     for u, v, w in graph.edges():
-        if w / pair_size >= pair_bar:
-            level[(u, v)] = w
-    dense.update(level)
+        d = w / pair_size
+        if d >= pair_bar:
+            level[(1 << u) | (1 << v)] = ((u, v), w)
+            dense[(u, v)] = d
+    candidates = [(y, 1 << y, graph.neighbors(y)) for y in range(1, n_univ + 1)]
     for card in range(3, cfg.n_max + 1):
-        nxt: dict[tuple[int, ...], float] = {}
+        nxt: dict[int, tuple[tuple[int, ...], float]] = {}
         size, bar = sizes[card], bars[card]
-        rows = [None] + [graph.neighbors(y) for y in range(1, n_univ + 1)]
-        for vs, score in level.items():
-            for y in range(1, n_univ + 1):
-                if y in vs:
+        for mask, (vs, score) in level.items():
+            for y, bit, row in candidates:
+                if mask & bit:
                     continue
-                i = bisect_left(vs, y)
-                evs = vs[:i] + (y,) + vs[i:]
-                if evs in nxt:
+                evm = mask | bit
+                if evm in nxt:
                     continue
                 s = score
-                row = rows[y]
                 for v in vs:
                     s += row.get(v, 0.0)
-                if s / size >= bar:
-                    nxt[evs] = s
+                d = s / size
+                if d >= bar:
+                    i = bisect_left(vs, y)
+                    evs = vs[:i] + (y,) + vs[i:]
+                    nxt[evm] = (evs, s)
+                    dense[evs] = d
         if not nxt:
             break  # no dense sets at this size means none at any larger size
-        dense.update(nxt)
         level = nxt
-    return {vs: s / sizes[len(vs)] for vs, s in dense.items()}
+    return dense
 
 
 def _exhaustive(graph: WeightedGraph, cfg: DensityConfig) -> dict[tuple[int, ...], float]:
@@ -123,12 +126,11 @@ def diff(engine_view: dict[tuple[int, ...], float],
     """Discrepancies between two set->density views; empty means equivalent."""
     out: list[Discrepancy] = []
     if engine_view.keys() == oracle_view.keys():
-        for vs, d in engine_view.items():
-            if abs(d - oracle_view[vs]) > EPS:
-                out.append(Discrepancy(
-                    "density", vs,
-                    f"engine {d:.9f} vs oracle {oracle_view[vs]:.9f}"))
-        out.sort(key=lambda r: r.vertices)
+        for vs in sorted(vs for vs, d in engine_view.items()
+                         if abs(d - oracle_view[vs]) > EPS):
+            out.append(Discrepancy(
+                "density", vs,
+                f"engine {engine_view[vs]:.9f} vs oracle {oracle_view[vs]:.9f}"))
         return out
     for vs in sorted(oracle_view.keys() - engine_view.keys()):
         out.append(Discrepancy("missing", vs, f"expected density {oracle_view[vs]:.9f}"))

@@ -8,6 +8,7 @@ ascending.  Both are written byte-deterministically.
 
 from __future__ import annotations
 
+import math
 from typing import IO, Iterable, Iterator
 
 from .engine import DensityEvent
@@ -27,6 +28,8 @@ def parse_update_line(line: str, lineno: int) -> EdgeUpdate:
         delta = float(parts[3])
     except ValueError as exc:
         raise StreamFormatError(f"line {lineno}: malformed field in {line!r}") from exc
+    if not math.isfinite(delta):
+        raise StreamFormatError(f"line {lineno}: non-finite delta in {line!r}")
     if a == b:
         raise StreamFormatError(f"line {lineno}: self-loop update on vertex {a}")
     if a < 1 or b < 1:
@@ -63,31 +66,3 @@ def write_updates(path: str, updates: Iterable[EdgeUpdate]) -> int:
 def format_event(ev: DensityEvent) -> str:
     verts = ",".join(str(v) for v in ev.vertices)
     return f"{ev.seq} {ev.kind} {ev.density:.9f} {verts}"
-
-
-def write_events(fh: IO[str], events: Iterable[DensityEvent]) -> int:
-    n = 0
-    for ev in events:
-        fh.write(format_event(ev) + "\n")
-        n += 1
-    return n
-
-
-def parse_event_line(line: str, lineno: int) -> DensityEvent:
-    parts = line.split()
-    if len(parts) != 4 or parts[1] not in ("GAIN", "LOSE"):
-        raise StreamFormatError(f"line {lineno}: malformed event {line!r}")
-    vertices = tuple(int(v) for v in parts[3].split(","))
-    return DensityEvent(int(parts[0]), parts[1], vertices, float(parts[2]))
-
-
-def read_events(source: IO[str] | str) -> Iterator[DensityEvent]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from read_events(fh)
-        return
-    for i, line in enumerate(source, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield parse_event_line(stripped, i)

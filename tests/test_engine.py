@@ -341,7 +341,34 @@ def test_index_stays_structurally_sound_under_random_streams():
         a, b, delta = random_update(rng, g, 8, magnitude=1.0)
         engine.process_update(a, b, delta, seq)
         engine.index.audit()
-        for node in engine.index.entries():
+        for _vs, node in engine.index.items():
             m = node.meta
             assert cfg.is_dense(m.card, m.score)
             assert m.star_depth == cfg.free_extension_depth(m.card, m.score)
+
+
+# -- rejected updates leave no trace ---------------------------------------------------
+
+def _engine_state(engine):
+    return (sorted(engine.graph.edges()), engine.graph.num_vertices,
+            engine.state_signature(), vars(engine.stats).copy(),
+            engine.snapshot_views(expand=True))
+
+
+@pytest.mark.parametrize("a, b, delta, error", [
+    (1, 2, float("nan"), ValueError),   # would store a NaN weight
+    (1, 2, 1e308, OverflowError),       # round budget ceil(1e308 / delta_it) overflows
+    (3, 9, -1.0, ValueError),           # negative weight; would grow the universe to 9
+])
+def test_rejected_update_changes_nothing(a, b, delta, error):
+    cfg = derived_cfg()
+    g = WeightedGraph()
+    g.ensure_universe(7)
+    engine = DenseSubgraphEngine(cfg, g)
+    engine.process_update(1, 3, 9.0, 1)
+    engine.process_update(1, 4, 0.2, 2)
+    assert engine.has_too_dense()  # expanded views depend on the universe size
+    before = _engine_state(engine)
+    with pytest.raises(error):
+        engine.process_update(a, b, delta, 3)
+    assert _engine_state(engine) == before

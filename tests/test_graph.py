@@ -52,6 +52,18 @@ def test_vertex_ids_must_be_positive_and_capped():
         g.apply_update(3, 11, 1.0)
 
 
+@pytest.mark.parametrize("a, b, delta", [
+    (1, 2, float("nan")), (1, 2, float("inf")), (1, 2, 1e308),  # 1e308 + 1e308 overflows
+    (3, 9, -1.0), (3, 11, 1.0)])
+def test_rejected_update_changes_nothing(a, b, delta):
+    g = WeightedGraph(max_vertex=10)
+    g.apply_update(1, 2, 1e308)
+    with pytest.raises(GraphError):
+        g.apply_update(a, b, delta)
+    assert list(g.edges()) == [(1, 2, 1e308)]
+    assert g.num_vertices == 2
+
+
 def test_merged_neighborhood_of_updated_pair():
     g = build_walkthrough_graph()
     g.apply_update(1, 2, 0.15)

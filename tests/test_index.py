@@ -137,14 +137,14 @@ def test_iterate_requires_ordered_endpoints():
 def test_star_chain_mark_and_unmark():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
-    idx.mark_too_dense(node, n_max=4)
+    idx.set_star_depth(node, 1)
     assert node.meta.star_depth == 1
     assert STAR in node.children
     stars = list(idx.inverted_list(STAR))
     assert len(stars) == 1
     assert idx.vertices_of(stars[0]) == (1, 3)
     idx.audit()
-    idx.unmark_too_dense(node)
+    idx.set_star_depth(node, 0)
     assert STAR not in node.children
     assert list(idx.inverted_list(STAR)) == []
     # sibling extensions never went anywhere
@@ -160,12 +160,6 @@ def test_star_chain_grow_and_shrink_depth():
     assert idx.set_star_depth(node, 1) == 2
     assert len(list(idx.inverted_list(STAR))) == 1
     idx.audit()
-
-
-def test_mark_too_dense_at_full_cardinality_is_an_error():
-    idx = build_five_set_index()
-    with pytest.raises(IndexError_):
-        idx.mark_too_dense(idx.entry((1, 3, 4)), n_max=3)
 
 
 def test_star_parents_deduplicates_chains():
@@ -223,6 +217,18 @@ def test_exactly_once_traversal_over_random_states():
         all_stars = [id(n) for n in idx.inverted_list(STAR)]
         assert sorted(visited_stars) == sorted(all_stars)
         idx.audit()
+
+
+def test_iterate_containing_both_over_random_states():
+    rng = random.Random(322)
+    for _ in range(500):
+        idx, sets, _starred = _random_index(rng)
+        universe = max(max(vs) for vs in sets)
+        a, b = sorted(rng.sample(range(1, universe + 2), 2))
+        expected = [(vs, node) for vs, node in idx.iterate_containing(a, b)
+                    if node.label is not STAR and a in vs and b in vs]
+        assert list(idx.iterate_containing_both(a, b)) == expected
+        assert {vs for vs, _ in expected} == {vs for vs in sets if a in vs and b in vs}
 
 
 def test_structural_audit_through_random_mutation():

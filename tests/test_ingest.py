@@ -45,6 +45,20 @@ def test_clock_regression_rejected():
         c.observe(50.0, ["b"])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected_before_anything_moves(t):
+    ingestor = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED)
+    ingestor.process_document(100.0, ["a", "b"])
+    c = ingestor.counts
+    with pytest.raises(IngestError, match="not finite"):
+        ingestor.process_document(t, ["a", "c"])
+    assert c.clock == 100.0
+    assert c.total(100.0) == 1.0
+    assert c.occurrence("a", 100.0) == 1.0 and c.occurrence("c", 100.0) == 0.0
+    assert c.partners("a") == {"b"} and c.partners("c") == set()
+    assert len(ingestor.dictionary) == 2
+
+
 @given(st.floats(0.0, 1e5), st.floats(0.0, 1e5), st.floats(1.0, 1e5))
 @settings(max_examples=150)
 def test_decay_composes_across_intermediate_touches(gap1, gap2, tau):
@@ -252,3 +266,9 @@ def test_document_line_parsing():
     assert parse_document_line("99") == (99.0, [])
     with pytest.raises(IngestError):
         parse_document_line("not-a-time\ta", 4)
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_non_finite_document_timestamp_rejected_with_its_line(stamp):
+    with pytest.raises(IngestError, match="line 4: non-finite timestamp"):
+        parse_document_line(f"{stamp}\ta,b", 4)
