@@ -14,9 +14,9 @@ from contextlib import contextmanager
 
 from .density import ConfigError, DensityConfig, DensityFamily, delta_it_upper
 from .engine import DenseSubgraphEngine
-from .graph import WeightedGraph
+from .graph import GraphError, WeightedGraph
 from .ingest import (AssociationMeasure, DocumentIngestor, EntityDictionary,
-                     read_documents)
+                     IngestError, numbered_documents)
 from .oracle import OracleCapacityError, brute_force_dense, diff
 from .rerank import rerank_diverse
 from .streams import StreamFormatError, format_event, format_update, read_updates
@@ -58,6 +58,20 @@ def _make_engine(args, cfg: DensityConfig) -> DenseSubgraphEngine:
     return DenseSubgraphEngine(cfg, graph)
 
 
+class _RejectedUpdate(ValueError):
+    """A well-formed update the engine refused, named by its seq."""
+
+
+def _replay(engine: DenseSubgraphEngine, path: str):
+    """Feed a stream file to the engine, yielding (update, its events)."""
+    for u in read_updates(path):
+        try:
+            events = engine.process(u)
+        except (GraphError, OverflowError) as exc:
+            raise _RejectedUpdate(f"update seq={u.seq}: {exc}") from exc
+        yield u, events
+
+
 @contextmanager
 def _out_stream(path: str | None):
     if path is None or path == "-":
@@ -73,8 +87,8 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     count = 0
     with _out_stream(args.events) as out:
-        for u in read_updates(args.updates):
-            for ev in engine.process(u):
+        for _u, events in _replay(engine, args.updates):
+            for ev in events:
                 out.write(format_event(ev) + "\n")
             count += 1
     wall = time.perf_counter() - start
@@ -94,8 +108,7 @@ def cmd_verify(args) -> int:
     engine = _make_engine(args, cfg)
     checked = 0
     count = 0
-    for u in read_updates(args.updates):
-        engine.process(u)
+    for u, _events in _replay(engine, args.updates):
         count += 1
         if count % args.checkpoint_every:
             continue
@@ -142,8 +155,8 @@ def cmd_gen(args) -> int:
 def cmd_top(args) -> int:
     cfg = build_config(args)
     engine = _make_engine(args, cfg)
-    for u in read_updates(args.updates):
-        engine.process(u)
+    for _ in _replay(engine, args.updates):
+        pass
     stories = sorted(engine.snapshot_output_dense(expand=True).items())
     ranked = rerank_diverse(stories, penalty=args.penalty, limit=args.k)
     for rank, (vs, density, adjusted) in enumerate(ranked, 1):
@@ -158,8 +171,12 @@ def cmd_ingest(args) -> int:
                                 dictionary=dictionary)
     count = 0
     with _out_stream(args.out) as out:
-        for t, ents in read_documents(args.documents):
-            for u in ingestor.process_document(t, ents):
+        for lineno, t, ents in numbered_documents(args.documents):
+            try:
+                updates = ingestor.process_document(t, ents)
+            except IngestError as exc:
+                raise IngestError(f"line {lineno}: {exc}") from exc
+            for u in updates:
                 out.write(format_update(u) + "\n")
                 count += 1
     if args.dictionary:
@@ -230,7 +247,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamFormatError, ConfigError, OracleCapacityError) as exc:
+    except (StreamFormatError, ConfigError, OracleCapacityError, IngestError,
+            _RejectedUpdate, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

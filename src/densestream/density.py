@@ -224,5 +224,8 @@ class DensityConfig:
             raise ValueError("budget is defined for non-negative magnitudes")
         if delta == 0:
             return 0
+        rounds = delta / self.delta_it
+        if math.isinf(rounds):
+            raise OverflowError(f"round budget for delta {delta} overflows")
         # Guard against float dust pushing an exact ratio over the next integer.
-        return max(1, math.ceil(delta / self.delta_it - 1e-9))
+        return max(1, math.ceil(rounds - 1e-9))

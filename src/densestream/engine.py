@@ -10,23 +10,23 @@ neighbor-by-neighbor growth around sets holding both, bounded by
 ceil(delta / delta_it) rounds.  Re-exploration is suppressed with per-update
 epoch and iteration annotations on the index entries.
 
-Sets dense enough to absorb any further vertex for free carry a star chain
-whose k-th node stands for every extension by k vertices contributing no
-weight.  Chain length is a pure function of (score, cardinality), so chains
-are refreshed wherever a score changes; the star scan at the end of a
-positive update materializes implied sets whose membership the update
-changed (a formerly disconnected vertex became a neighbor, or a
+Sets dense enough to absorb any further vertex for free carry a ``*``
+marker and a star depth k: they stand for every extension by up to k
+vertices contributing no weight.  The depth is a pure function of (score,
+cardinality), so it is refreshed wherever a score changes; the star scan at
+the end of a positive update materializes implied sets whose membership the
+update changed (a formerly disconnected vertex became a neighbor, or a
 non-adjacent pair gained an edge) and seeds growth around cores whose
 supersets cannot be reached through materialized entries alone.
 
-With ``star_mode=False`` the chains are expanded into explicit index entries
-after every update instead (the representation the star encoding replaces);
-views are identical, the cost is not.
+With ``star_mode=False`` the implied sets are expanded into explicit index
+entries after every update instead (the representation the star encoding
+replaces); views are identical, the cost is not.
 
 Events track the *materialized* answer set: a GAIN or LOSE is emitted
 exactly when a stored set enters or leaves the output-dense set.  Supersets
-represented only by a star chain are reported through the expanded snapshot,
-not the event stream.
+represented only by a star marker are reported through the expanded
+snapshot, not the event stream.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class DenseSubgraphEngine:
         self.stats = EngineStats()
         self._epoch = 0
         self._events: list[DensityEvent] = []
-        self._dirty: set = set()  # chain parents pending expansion (explicit mode)
+        self._dirty: set = set()  # star cores pending expansion (explicit mode)
         # per-update context
         self._lo = self._hi = 0
         self._delta = 0.0
@@ -123,7 +123,7 @@ class DenseSubgraphEngine:
             else:
                 self._positive(prev_universe)
             if not self.star_mode:
-                self._expand_chains()
+                self._expand_implied()
         if len(self.index) > self.stats.peak_entries:
             self.stats.peak_entries = len(self.index)
         events = self._events
@@ -145,7 +145,7 @@ class DenseSubgraphEngine:
         bar = cfg.threshold - EPS
         dense: dict[tuple[int, ...], float] = {}
         output: dict[tuple[int, ...], float] = {}
-        cores: dict[int, tuple[int, ...]] = {}  # id(chain parent) -> its set
+        cores: dict[int, tuple[int, ...]] = {}  # id(star core) -> its set
         for vs, node in self.index.items():
             m = node.meta
             d = m.score / sizes[m.card]
@@ -171,28 +171,11 @@ class DenseSubgraphEngine:
     def snapshot_output_dense(self, expand: bool = True) -> dict[tuple[int, ...], float]:
         return self.snapshot_views(expand)[1]
 
-    def expand_implicit(self, star_node: _Node) -> list[tuple[int, ...]]:
-        """The vertex sets one star-chain node stands for, explicit ones excluded."""
-        depth = 0
-        p = star_node
-        while p.label is STAR:
-            depth += 1
-            p = p.parent
-        if depth == 0:
-            return []
-        vs = self.index.vertices_of(star_node)
-        out = []
-        for evs in self._implied_sets(vs, depth, exact_depth=depth):
-            node = self.index.find(evs)
-            if node is None or node.meta is None:
-                out.append(evs)
-        return out
-
     def has_too_dense(self) -> bool:
         return next(self.index.star_parents(), None) is not None
 
     def state_signature(self) -> dict[tuple[int, ...], tuple[float, int]]:
-        """Materialized sets with (score, chain depth); for state comparisons."""
+        """Materialized sets with (score, star depth); for state comparisons."""
         return {vs: (node.meta.score, node.meta.star_depth)
                 for vs, node in self.index.items()}
 
@@ -205,21 +188,20 @@ class DenseSubgraphEngine:
             return []
         return [y for y in range(1, n + 1) if y not in taken]
 
-    def _implied_sets(self, vs: tuple[int, ...], depth: int,
-                      exact_depth: Optional[int] = None) -> list[tuple[int, ...]]:
+    def _implied_sets(self, vs: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
         """Extensions of ``vs`` by up to ``depth`` pairwise-disconnected free
-        vertices (exactly ``exact_depth`` of them when given), sorted."""
+        vertices, sorted."""
         cand = self._free_candidates(vs)
         if not cand:
             return []
-        if depth == 1 and exact_depth in (None, 1):
+        if depth == 1:
             return [_with(vs, y) for y in cand]
         nbrs = self.graph.neighbors
         out: list[tuple[int, ...]] = []
         chosen: list[int] = []
 
         def rec(start: int) -> None:
-            if chosen and (exact_depth is None or len(chosen) == exact_depth):
+            if chosen:
                 out.append(tuple(sorted(vs + tuple(chosen))))
             if len(chosen) == depth:
                 return
@@ -269,15 +251,9 @@ class DenseSubgraphEngine:
         idx = self.index
         work: list[tuple[_Node, tuple[int, ...], Optional[int]]] = []
         cores: list[tuple[_Node, tuple[int, ...]]] = []
-        seen_cores = set()
         for vs, node in list(idx.iterate_containing(a, b)):
             if node.label is STAR:
-                parent = node.parent
-                while parent.label is STAR:
-                    parent = parent.parent
-                if id(parent) not in seen_cores:
-                    seen_cores.add(id(parent))
-                    cores.append((parent, vs))
+                cores.append((node.parent, vs))
                 continue
             if node.meta is None:
                 continue
@@ -361,7 +337,7 @@ class DenseSubgraphEngine:
         if (cfg.is_dense(card + 1, score) and card + 2 <= cfg.n_max
                 and i + 1 <= self._budget):
             # Newly able to absorb any vertex: extensions by a disconnected
-            # vertex are covered by the star chain, but pairs joined by an
+            # vertex are covered by the star marker, but pairs joined by an
             # edge not touching the set contribute weight and must be seeded.
             self._probe_edge_pairs(vs, score, gamma, i + 1)
 
@@ -404,13 +380,13 @@ class DenseSubgraphEngine:
         """Reconcile one star core with the update.
 
         A core holding one endpoint may have just gained the other as a
-        neighbor, pulling the implied extension out of the chain's coverage:
+        neighbor, pulling the implied extension out of the marker's coverage:
         it is materialized (and grown from).  A core holding neither endpoint
         may imply both as free extensions; the pair now joined by an edge is
         no longer free together, so the combined set is probed.  For a core
         holding both, supersets reached by adding an edge disjoint from the
-        core are probed, which only matters while the chain is exactly one
-        deep (deeper coverage means those supersets were dense already).
+        core are probed, which only matters while the star depth is exactly
+        one (deeper coverage means those supersets were dense already).
         """
         cfg = self.cfg
         m = node.meta
@@ -473,7 +449,7 @@ class DenseSubgraphEngine:
         cfg = self.cfg
         card = len(vs)
         # Dense before the update but never materialized (it was covered by a
-        # star chain): treat like any other stored stable set from here on.
+        # star marker): treat like any other stored stable set from here on.
         stable = cfg.is_dense(card, score - self._delta)
         node = self.index.insert(vs, score, self._epoch, 0 if stable else i)
         if cfg.is_output_dense(card, score):
@@ -481,7 +457,7 @@ class DenseSubgraphEngine:
         self._maintain_closure(node, vs)
         self._explore(node, vs, 1 if stable else i + 1)
 
-    # -- star-chain upkeep ------------------------------------------------------------------
+    # -- star-depth upkeep ------------------------------------------------------------------
 
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
         depth = self.cfg.free_extension_depth(node.meta.card, node.meta.score)
@@ -491,8 +467,8 @@ class DenseSubgraphEngine:
             if grew and not self.star_mode:
                 self._dirty.add(node)
 
-    def _expand_chains(self) -> None:
-        """Explicit mode: materialize every chain-implied set as an entry."""
+    def _expand_implied(self) -> None:
+        """Explicit mode: materialize every star-implied set as an entry."""
         cfg = self.cfg
         while self._dirty:
             batch = sorted(self._dirty, key=self.index.vertices_of)

@@ -1,16 +1,17 @@
-"""Prefix tree of dense vertex sets with embedded inverted lists.
+"""Prefix tree of dense vertex sets with per-vertex inverted lists.
 
 Sets are stored sorted, one tree node per prefix element, so overlapping
 sets share their common-prefix path.  Each vertex has an inverted list --
-an intrusive doubly-linked chain threaded through the tree nodes carrying
-that vertex as label -- which makes "every indexed set containing v" an
+an insertion-ordered dict of the tree nodes carrying that vertex as label,
+read newest first -- which makes "every indexed set containing v" an
 iteration over a few subtrees and lets node deletion unlink in constant
 work.
 
-A chain of nodes labeled with the fictitious vertex ``*`` (sorting above
-every real vertex) may hang below an entry: the k-th chain node stands for
-all supersets built by adding k vertices that contribute no weight.  Those
-supersets share the parent's score and are never materialized.
+An entry whose score lets it absorb free vertices carries one child
+labeled with the fictitious vertex ``*`` (sorting above every real vertex),
+a marker standing for all supersets built by adding up to
+``meta.star_depth`` vertices that contribute no weight.  Those supersets
+share the entry's score and are never materialized.
 
 Not safe for concurrent mutation; the engine owns it on one update thread.
 """
@@ -32,7 +33,8 @@ class SubgraphMeta:
     ``tag``/``tag_epoch`` record the exploration iteration that discovered
     the entry during the update ``tag_epoch``; stale epochs mean the entry is
     pre-existing as far as the current update is concerned.  ``star_depth``
-    is the length of the free-extension chain below the node.
+    is how many free vertices the entry can absorb; it is nonzero exactly
+    when the node carries a ``*`` marker child.
     """
 
     __slots__ = ("score", "card", "tag", "tag_epoch", "star_depth")
@@ -51,26 +53,24 @@ class SubgraphMeta:
 
 
 class _Node:
-    __slots__ = ("label", "parent", "children", "meta", "il_prev", "il_next")
+    __slots__ = ("label", "parent", "children", "meta")
 
     def __init__(self, label, parent):
         self.label = label
         self.parent = parent
         self.children: dict = {}
         self.meta: Optional[SubgraphMeta] = None
-        self.il_prev: Optional[_Node] = None
-        self.il_next: Optional[_Node] = None
 
     def __repr__(self):  # debugging aid only
         return f"<node {self.label}>"
 
 
 class SubgraphIndex:
-    """The dense-set store: prefix tree + inverted lists + star chains."""
+    """The dense-set store: prefix tree + inverted lists + star markers."""
 
     def __init__(self, validator: Optional[Callable[[int, float], bool]] = None):
         self.root = _Node(None, None)
-        self._heads: dict = {}        # label -> first node of its inverted list
+        self._lists: dict = {}        # label -> {node: None}, oldest first
         self._entry_count = 0
         self._node_count = 0
         self._validator = validator   # (card, score) -> dense?
@@ -86,31 +86,17 @@ class SubgraphIndex:
     # -- inverted-list plumbing ------------------------------------------------
 
     def _link(self, node: _Node) -> None:
-        head = self._heads.get(node.label)
-        node.il_next = head
-        node.il_prev = None
-        if head is not None:
-            head.il_prev = node
-        self._heads[node.label] = node
+        self._lists.setdefault(node.label, {})[node] = None
 
     def _unlink(self, node: _Node) -> None:
-        if node.il_prev is not None:
-            node.il_prev.il_next = node.il_next
-        else:
-            if self._heads.get(node.label) is node:
-                if node.il_next is None:
-                    del self._heads[node.label]
-                else:
-                    self._heads[node.label] = node.il_next
-        if node.il_next is not None:
-            node.il_next.il_prev = node.il_prev
-        node.il_prev = node.il_next = None
+        nodes = self._lists[node.label]
+        del nodes[node]
+        if not nodes:
+            del self._lists[node.label]
 
     def inverted_list(self, label) -> Iterator[_Node]:
-        node = self._heads.get(label)
-        while node is not None:
-            yield node
-            node = node.il_next
+        """The nodes carrying ``label``, most recently linked first."""
+        return reversed(self._lists.get(label, {}))
 
     # -- path access -------------------------------------------------------------
 
@@ -131,14 +117,15 @@ class SubgraphIndex:
     def vertices_of(self, node: _Node) -> tuple[int, ...]:
         """Reconstruct the (sorted) vertex set via parent pointers.
 
-        Star labels are skipped, so for a chain node this is the core set
-        whose free extensions the node represents.
+        For a star marker this is the core set whose free extensions the
+        marker represents.
         """
+        if node.label is STAR:
+            node = node.parent
         out = []
         label = node.label
         while label is not None:
-            if label is not STAR:
-                out.append(label)
+            out.append(label)
             node = node.parent
             label = node.label
         out.reverse()
@@ -201,7 +188,7 @@ class SubgraphIndex:
     def remove(self, node_or_vertices) -> int:
         """Drop an indexed set; returns the number of tree nodes freed.
 
-        The terminal's meta is cleared, any star chain below it is removed,
+        The terminal's meta is cleared, any star marker below it is removed,
         and meta-free childless nodes are pruned toward the root.
         """
         if isinstance(node_or_vertices, _Node):
@@ -217,67 +204,50 @@ class SubgraphIndex:
         self._entry_count -= 1
         return freed + self._prune_up(node)
 
-    # -- star chains ----------------------------------------------------------------
+    # -- star markers ---------------------------------------------------------------
 
     def set_star_depth(self, node: _Node, depth: int) -> int:
-        """Grow or shrink the free-extension chain below an entry.
+        """Set how many free vertices an entry can absorb.
 
-        Returns the number of chain nodes removed (0 when growing).
+        The entry's ``*`` marker is created when the depth leaves 0, removed
+        when it returns to 0, and moved to the front of the ``*`` inverted
+        list whenever the depth grows.  Returns the number of tree nodes
+        removed (1 when the marker goes, else 0).
         """
         meta = node.meta
         if meta is None:
-            raise IndexError_("star chains hang below indexed entries only")
+            raise IndexError_("star markers hang below indexed entries only")
         if depth < 0:
             raise IndexError_("star depth out of range")
         current = meta.star_depth
-        if depth == current:
-            return 0
-        if depth > current:
-            tail = node
-            for _ in range(current):
-                tail = tail.children[STAR]
-            for _ in range(depth - current):
-                star = _Node(STAR, tail)
-                tail.children[STAR] = star
-                self._link(star)
-                self._node_count += 1
-                tail = star
-            meta.star_depth = depth
-            return 0
-        # shrink: drop chain nodes from the tail up
-        chain = []
-        tail = node
-        for _ in range(current):
-            tail = tail.children[STAR]
-            chain.append(tail)
-        removed = 0
-        for star in reversed(chain[depth:]):
-            if star.children:
-                raise IndexError_("star chain node unexpectedly has children")
-            self._unlink(star)
-            del star.parent.children[STAR]
-            self._node_count -= 1
-            removed += 1
         meta.star_depth = depth
-        return removed
+        if depth > current:
+            marker = node.children.get(STAR)
+            if marker is None:
+                marker = node.children[STAR] = _Node(STAR, node)
+                self._node_count += 1
+            else:
+                self._unlink(marker)
+            self._link(marker)
+            return 0
+        if depth == 0 and current:
+            self._unlink(node.children.pop(STAR))
+            self._node_count -= 1
+            return 1
+        return 0
 
     def star_parents(self) -> Iterator[tuple[_Node, int]]:
-        """Entries carrying a chain, as (entry node, chain depth), deduplicated."""
-        seen = set()
-        for star in self.inverted_list(STAR):
-            parent = star.parent
-            while parent.label is STAR:
-                parent = parent.parent
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                yield parent, parent.meta.star_depth
+        """Entries carrying a marker, as (entry node, star depth), most
+        recently deepened first."""
+        for marker in self.inverted_list(STAR):
+            yield marker.parent, marker.parent.meta.star_depth
 
     # -- iteration -----------------------------------------------------------------
 
     def _subtrees(self, roots: list[tuple[_Node, tuple[int, ...]]],
                   prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Depth-first walk below each (node, vertices above it) root in
-        turn, yielding meta-bearing and star-chain nodes."""
+        turn, yielding meta-bearing nodes and star markers."""
         stack = roots[::-1]
         pop, push = stack.pop, stack.append
         while stack:
@@ -287,11 +257,10 @@ class SubgraphIndex:
                 continue
             if label is STAR:
                 yield below, n
-                vs = below
-            else:
-                vs = below + (label,)
-                if n.meta is not None:
-                    yield vs, n
+                continue
+            vs = below + (label,)
+            if n.meta is not None:
+                yield vs, n
             children = n.children
             if children:
                 for label in sorted(children, reverse=True):
@@ -304,29 +273,23 @@ class SubgraphIndex:
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
 
-        Yields (vertices, node) for meta-bearing nodes and star-chain nodes
-        (a chain node reports its core's vertices).  First the subtrees of
-        b's inverted list, then a's (pruning descent at nodes labeled b),
-        then star nodes whose core contains neither endpoint.
+        Yields (vertices, node) for meta-bearing nodes and star markers (a
+        marker reports its core's vertices).  First the subtrees of b's
+        inverted list, then a's (pruning descent at nodes labeled b), then
+        the markers whose core contains neither endpoint.
         """
         if not a < b:
             raise IndexError_("iterate_containing expects a < b")
         yield from self._subtrees(self._roots(b))
         yield from self._subtrees(self._roots(a), prune_label=b)
-        cores: dict[int, tuple[int, ...]] = {}  # id(chain parent) -> its set
-        for star in self.inverted_list(STAR):
-            parent = star.parent
-            while parent.label is STAR:
-                parent = parent.parent
-            core = cores.get(id(parent))
-            if core is None:
-                core = cores[id(parent)] = self.vertices_of(parent)
+        for marker in self.inverted_list(STAR):
+            core = self.vertices_of(marker)
             if a not in core and b not in core:
-                yield core, star
+                yield core, marker
 
     def iterate_containing_both(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing both a and b (a < b), in the order
-        iterate_containing yields them; star-chain nodes are left out."""
+        iterate_containing yields them; star markers are left out."""
         roots = [(n, above) for n, above in self._roots(b) if a in above]
         for vs, node in self._subtrees(roots):
             if node.label is not STAR:
@@ -351,17 +314,11 @@ class SubgraphIndex:
     def audit(self) -> None:
         """Assert the structural invariants; raises AssertionError on breach."""
         listed: dict = {}
-        for label, head in self._heads.items():
-            seen = set()
-            node = head
-            prev = None
-            while node is not None:
+        for label, nodes in self._lists.items():
+            assert nodes, "empty inverted list kept"
+            for node in nodes:
                 assert node.label == label, "inverted list crosses labels"
-                assert node.il_prev is prev, "broken inverted-list back link"
-                assert id(node) not in seen, "inverted list cycles"
-                seen.add(id(node))
                 listed[id(node)] = label
-                prev, node = node, node.il_next
         count = 0
 
         def walk(node: _Node, last_label) -> None:
@@ -369,25 +326,21 @@ class SubgraphIndex:
             for label, child in node.children.items():
                 count += 1
                 assert child.parent is node, "broken parent link"
-                if label is STAR:
-                    assert not any(l is not STAR for l in child.children), \
-                        "star nodes may only chain further stars"
-                else:
-                    assert last_label is None or label > last_label, \
-                        "labels must increase along paths"
-                    assert last_label is not STAR, "real vertex below a star"
                 assert listed.get(id(child)) == label, "node missing from its inverted list"
-                if child.meta is None and label is not STAR:
+                if label is STAR:
+                    assert not child.children and child.meta is None, \
+                        "a star marker is a bare leaf"
+                    assert node.meta is not None and node.meta.star_depth, \
+                        "star marker without a depth"
+                    continue
+                assert last_label is None or label > last_label, \
+                    "labels must increase along paths"
+                if child.meta is None:
                     assert child.children, "orphan childless node without meta"
-                if child.meta is not None:
-                    depth = child.meta.star_depth
-                    chain = 0
-                    tail = child
-                    while STAR in tail.children:
-                        tail = tail.children[STAR]
-                        chain += 1
-                    assert chain == depth, "star chain length disagrees with meta"
+                elif child.meta.star_depth:
+                    assert STAR in child.children, "star depth without a marker"
                 walk(child, label)
 
         walk(self.root, None)
         assert count == self._node_count, "node count drifted"
+        assert len(listed) == count, "inverted lists hold nodes outside the tree"

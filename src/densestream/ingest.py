@@ -220,22 +220,18 @@ class DocumentIngestor:
         self._weights: dict[tuple[str, str], float] = {}  # last emitted weight
         self._seq = 0
 
-    def observe_document(self, t: float, entities: Iterable[str]) -> None:
-        """Count a document; weights are not recomputed until the flush."""
+    def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
+        """Count a document, then re-weigh every pair incident to its entities.
+
+        Emits one update per pair whose weight moved by more than the
+        tolerance, with consecutive sequence numbers.  A rejected document
+        changes nothing.
+        """
         ents = sorted(set(entities))
         self.counts.observe(t, ents)  # first, so a rejected document registers nothing
         for e in ents:
             self.dictionary.id_for(e)  # ids follow first appearance, not first edge
-
-    def flush_updates(self, entities: Iterable[str]) -> list[EdgeUpdate]:
-        """Re-weigh every pair incident to the given entities.
-
-        Called after ``observe_document`` for the same document; emits one
-        update per pair whose weight moved by more than the tolerance, with
-        consecutive sequence numbers.
-        """
         t = self.counts.clock
-        ents = sorted(set(entities))
         updates: list[EdgeUpdate] = []
         recomputed: set[tuple[str, str]] = set()
         for e in ents:
@@ -260,10 +256,6 @@ class DocumentIngestor:
                         self._weights[key] = new_w
         return updates
 
-    def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
-        self.observe_document(t, entities)
-        return self.flush_updates(entities)
-
 
 def parse_document_line(line: str, lineno: int = 0) -> tuple[float, list[str]]:
     """One document per line: ``<timestamp>`` TAB ``<entity>[,<entity>...]``."""
@@ -282,9 +274,15 @@ def parse_document_line(line: str, lineno: int = 0) -> tuple[float, list[str]]:
     return t, entities
 
 
-def read_documents(path) -> Iterator[tuple[float, list[str]]]:
+def numbered_documents(path) -> Iterator[tuple[int, float, list[str]]]:
+    """(line number, timestamp, entities) for each document line of a file."""
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, 1):
             if not line.strip() or line.startswith("#"):
                 continue
-            yield parse_document_line(line, i)
+            yield (i, *parse_document_line(line, i))
+
+
+def read_documents(path) -> Iterator[tuple[float, list[str]]]:
+    for _lineno, t, entities in numbered_documents(path):
+        yield t, entities

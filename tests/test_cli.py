@@ -136,6 +136,46 @@ def test_ingest_writes_updates_and_dictionary(tmp_path, capsys):
     assert (tmp_path / "d.json").exists()
 
 
+# -- rejected input ends with one error line -----------------------------------------
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("stream, where", [
+    ("1 1 2 0.5\n2 1 2 -0.9\n", "seq=2"),   # drives the 1-2 weight below zero
+    ("1 1 2 1e308\n", "seq=1"),             # its round budget overflows
+])
+def test_run_names_the_update_the_engine_rejects(tmp_path, capsys, stream, where):
+    path = tmp_path / "s.txt"
+    path.write_text(stream, encoding="utf-8")
+    rc = main(["run", "--updates", str(path), "--events", str(tmp_path / "ev.txt")])
+    assert rc == 2
+    assert where in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("docs, where", [
+    ("x\ta,b\n", "line 1"),                  # unparsable timestamp
+    ("10\ta,b\n# note\n5\ta,c\n", "line 3"),   # goes back in time
+])
+def test_ingest_names_the_line_it_rejects(tmp_path, capsys, docs, where):
+    path = tmp_path / "docs.txt"
+    path.write_text(docs, encoding="utf-8")
+    rc = main(["ingest", "--documents", str(path), "--out", str(tmp_path / "u.txt")])
+    assert rc == 2
+    assert where in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "top", "ingest"])
+def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
+    flag = "--documents" if command == "ingest" else "--updates"
+    missing = str(tmp_path / "absent.txt")
+    assert main([command, flag, missing]) == 2
+    assert "absent.txt" in _one_error_line(capsys)
+
+
 # -- stream formats ------------------------------------------------------------------
 
 def test_update_roundtrip(tmp_path):

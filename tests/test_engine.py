@@ -101,6 +101,11 @@ def test_saturated_pair_grows_a_star_chain():
     assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
 
 
+def _implied_only(engine) -> list[tuple[int, ...]]:
+    """Sets in the expanded dense view that no index entry stores."""
+    return sorted(set(engine.snapshot_dense(expand=True)) - set(engine.state_signature()))
+
+
 def test_implicit_sets_of_a_star_node():
     cfg = derived_cfg()
     g = WeightedGraph()
@@ -109,9 +114,9 @@ def test_implicit_sets_of_a_star_node():
     engine.process_update(1, 3, 9.0, 1)   # too dense
     engine.process_update(1, 4, 0.2, 2)   # 4 neighbors the pair
     engine.process_update(3, 5, 0.2, 3)   # 5 neighbors the pair
-    node = engine.index.entry((1, 3))
-    star = node.children[STAR]
-    implied = engine.expand_implicit(star)
+    assert STAR in engine.index.entry((1, 3)).children
+    # the one-vertex free extensions of (1, 3): 4 and 5 are neighbors now
+    implied = [vs for vs in _implied_only(engine) if len(vs) == 3]
     assert implied == [(1, 2, 3), (1, 3, 6), (1, 3, 7)]
 
 
@@ -122,10 +127,7 @@ def test_implicit_sets_empty_when_all_vertices_neighbor_the_core():
     engine.process_update(1, 2, 9.0, 1)
     for seq, v in enumerate((3, 4), 2):
         engine.process_update(1, v, 0.5, seq)
-    node = engine.index.entry((1, 2))
-    if node.meta.star_depth:
-        implied = engine.expand_implicit(node.children[STAR])
-        assert implied == []
+    assert _implied_only(engine) == []
 
 
 def test_star_removed_when_weight_drops_back():
@@ -225,6 +227,8 @@ def test_star_and_explicit_modes_agree_on_random_streams():
             a, b, delta = random_update(rng, g1, 8, magnitude=0.8)
             star.process_update(a, b, delta, seq)
             explicit.process_update(a, b, delta, seq)
+            star.index.audit()
+            explicit.index.audit()
             vs = star.snapshot_dense(expand=True)
             ve = explicit.snapshot_dense(expand=True)
             assert set(vs) == set(ve)

@@ -155,10 +155,19 @@ def test_star_chain_mark_and_unmark():
 def test_star_chain_grow_and_shrink_depth():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
+    nodes = idx.node_count
     idx.set_star_depth(node, 3)
-    assert len(list(idx.inverted_list(STAR))) == 3
-    assert idx.set_star_depth(node, 1) == 2
-    assert len(list(idx.inverted_list(STAR))) == 1
+    # one marker at any nonzero depth; the depth itself lives in meta
+    assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
+    assert node.meta.star_depth == 3
+    assert idx.node_count == nodes + 1
+    assert idx.set_star_depth(node, 1) == 0
+    assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
+    assert node.meta.star_depth == 1
+    assert idx.node_count == nodes + 1
+    idx.audit()
+    assert idx.set_star_depth(node, 0) == 1
+    assert idx.node_count == nodes
     idx.audit()
 
 
@@ -174,9 +183,35 @@ def test_removing_an_entry_drops_its_chain():
     idx = build_five_set_index()
     idx.set_star_depth(idx.entry((4, 5)), 2)
     freed = idx.remove((4, 5))
-    assert freed == 4  # two chain nodes, the 5 leaf, and the 4 node
+    assert freed == 3  # the star marker, the 5 leaf, and the 4 node
     assert list(idx.inverted_list(STAR)) == []
     idx.audit()
+
+
+def test_star_parents_lists_the_most_recently_deepened_core_first():
+    idx = build_five_set_index()
+    x, y = idx.entry((1, 3)), idx.entry((4, 5))
+    idx.set_star_depth(x, 1)
+    idx.set_star_depth(y, 1)
+    assert [n for n, _d in idx.star_parents()] == [y, x]
+    idx.set_star_depth(x, 2)
+    assert list(idx.star_parents()) == [(x, 2), (y, 1)]
+
+
+def test_audit_rejects_a_marker_without_a_depth():
+    idx = build_five_set_index()
+    node = idx.entry((1, 3))
+    idx.set_star_depth(node, 1)
+    node.meta.star_depth = 0
+    with pytest.raises(AssertionError, match="marker without a depth"):
+        idx.audit()
+
+
+def test_audit_rejects_a_depth_without_a_marker():
+    idx = build_five_set_index()
+    idx.entry((1, 3)).meta.star_depth = 1
+    with pytest.raises(AssertionError, match="depth without a marker"):
+        idx.audit()
 
 
 def _random_index(rng: random.Random):

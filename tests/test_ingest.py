@@ -182,16 +182,6 @@ def test_document_with_one_fresh_entity_emits_nothing():
     assert ing.process_document(0.0, ["solo"]) == []
 
 
-def test_observe_then_flush_matches_the_combined_call():
-    seed_docs = [(float(t), ["u", "v"] if t % 3 else []) for t in range(30)]
-    combined = DocumentIngestor(AssociationMeasure.CHI2_CORRELATION)
-    staged = DocumentIngestor(AssociationMeasure.CHI2_CORRELATION)
-    for t, ents in seed_docs:
-        got = combined.process_document(t, ents)
-        staged.observe_document(t, ents)
-        assert staged.flush_updates(ents) == got
-
-
 def test_stable_zero_weight_pairs_stay_silent():
     ing = DocumentIngestor(AssociationMeasure.CHI2_CORRELATION)
     ing.process_document(0.0, ["a", "b"])
