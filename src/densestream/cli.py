@@ -37,17 +37,28 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="declare the vertex universe size up front")
 
 
+class _InputError(ValueError):
+    """Input the command refuses, named by the option's flag or the update's seq."""
+
+
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise _InputError(f"{flag}: not a number: {text!r}") from None
+
+
 def build_config(args) -> DensityConfig:
     family = DensityFamily(args.density)
     spec = str(args.delta_it).strip()
     if spec.endswith("%"):
-        frac = float(spec[:-1]) / 100.0
+        frac = _number("--delta-it", spec[:-1]) / 100.0
         delta_it = frac * delta_it_upper(family, args.threshold, args.nmax)
     else:
-        delta_it = float(spec)
+        delta_it = _number("--delta-it", spec)
     explicit = None
     if args.thresholds:
-        explicit = tuple(float(x) for x in args.thresholds.split(","))
+        explicit = tuple(_number("--thresholds", x) for x in args.thresholds.split(","))
     return DensityConfig(family, args.threshold, args.nmax, delta_it, explicit)
 
 
@@ -58,17 +69,13 @@ def _make_engine(args, cfg: DensityConfig) -> DenseSubgraphEngine:
     return DenseSubgraphEngine(cfg, graph)
 
 
-class _RejectedUpdate(ValueError):
-    """A well-formed update the engine refused, named by its seq."""
-
-
 def _replay(engine: DenseSubgraphEngine, path: str):
     """Feed a stream file to the engine, yielding (update, its events)."""
     for u in read_updates(path):
         try:
             events = engine.process(u)
         except (GraphError, OverflowError) as exc:
-            raise _RejectedUpdate(f"update seq={u.seq}: {exc}") from exc
+            raise _InputError(f"update seq={u.seq}: {exc}") from exc
         yield u, events
 
 
@@ -104,6 +111,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.checkpoint_every < 1:
+        raise _InputError("--checkpoint-every must be at least 1")
     cfg = build_config(args)
     engine = _make_engine(args, cfg)
     checked = 0
@@ -153,11 +162,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_top(args) -> int:
+    if not 0.0 <= args.penalty <= 1.0:
+        raise _InputError("--penalty must lie in [0, 1]")
     cfg = build_config(args)
     engine = _make_engine(args, cfg)
     for _ in _replay(engine, args.updates):
         pass
-    stories = sorted(engine.snapshot_output_dense(expand=True).items())
+    stories = engine.snapshot_output_dense(expand=True).items()
     ranked = rerank_diverse(stories, penalty=args.penalty, limit=args.k)
     for rank, (vs, density, adjusted) in enumerate(ranked, 1):
         print(f"{rank} {density:.9f} {adjusted:.9f} {','.join(map(str, vs))}")
@@ -248,7 +259,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (StreamFormatError, ConfigError, OracleCapacityError, IngestError,
-            _RejectedUpdate, OSError) as exc:
+            _InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -176,6 +176,18 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
     assert "absent.txt" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--delta-it", "abc"], "--delta-it"),
+    (["verify", "--checkpoint-every", "0"], "--checkpoint-every"),
+    (["top", "--penalty", "1.5"], "--penalty"),
+])
+def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, flag):
+    path = tmp_path / "s.txt"
+    path.write_text("1 1 2 0.5\n", encoding="utf-8")
+    assert main([*argv, "--updates", str(path)]) == 2
+    assert flag in _one_error_line(capsys)
+
+
 # -- stream formats ------------------------------------------------------------------
 
 def test_update_roundtrip(tmp_path):
