@@ -20,7 +20,7 @@ from .ingest import (AssociationMeasure, DocumentIngestor, EntityDictionary,
 from .oracle import OracleCapacityError, brute_force_dense, diff
 from .rerank import rerank_diverse
 from .streams import StreamFormatError, format_event, format_update, read_updates
-from .workload import GenerationReport, SyntheticSpec, generate
+from .workload import GenerationReport, SyntheticSpec, WorkloadError, generate
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -164,6 +164,8 @@ def cmd_gen(args) -> int:
 def cmd_top(args) -> int:
     if not 0.0 <= args.penalty <= 1.0:
         raise _InputError("--penalty must lie in [0, 1]")
+    if args.k < 1:
+        raise _InputError("--k must be at least 1")
     cfg = build_config(args)
     engine = _make_engine(args, cfg)
     for _ in _replay(engine, args.updates):
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (StreamFormatError, ConfigError, OracleCapacityError, IngestError,
-            _InputError, OSError) as exc:
+            WorkloadError, _InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,9 +56,9 @@ def delta_it_upper(family: DensityFamily, threshold: float, n_max: int) -> float
     threshold T_2 would drop to zero or below.
     """
     if n_max < 3:
-        raise ValueError("n_max must be at least 3")
+        raise ConfigError("n_max must be at least 3")
     if threshold <= 0:
-        raise ValueError("threshold must be positive to derive delta_it bounds")
+        raise ConfigError("threshold must be positive to derive delta_it bounds")
     return family.size_weight(n_max) * threshold / (n_max * (n_max - 2))
 
 

@@ -8,7 +8,11 @@ newly crossed their threshold: the updated pair itself, indexed sets holding
 one endpoint augmented with the other (the cheap step), and
 neighbor-by-neighbor growth around sets holding both, bounded by
 ceil(delta / delta_it) rounds.  Re-exploration is suppressed with per-update
-epoch and iteration annotations on the index entries.
+epoch and iteration annotations on the index entries, and a set indexed
+before the update that holds both endpoints is never probed: the update
+re-scores it and grows from it, and its annotations predate the update, so a
+probe could only count itself.  This rests on the index, not on pre-update
+scores, so it is exact with star cores too.
 
 Sets dense enough to absorb any further vertex for free carry a ``*``
 marker and a star depth k: they stand for every extension by up to k
@@ -94,6 +98,7 @@ class DenseSubgraphEngine:
         self._w_after = 0.0
         self._budget = 0
         self._seq = 0
+        self._known: set[tuple[int, ...]] = set()
 
     # -- public surface ----------------------------------------------------------
 
@@ -251,6 +256,7 @@ class DenseSubgraphEngine:
         idx = self.index
         work: list[tuple[_Node, tuple[int, ...], Optional[int]]] = []
         cores: list[tuple[_Node, tuple[int, ...]]] = []
+        self._known = known = set()  # indexed before the update, holding both endpoints
         for vs, node in list(idx.iterate_containing(a, b)):
             if node.label is STAR:
                 cores.append((node.parent, vs))
@@ -260,6 +266,7 @@ class DenseSubgraphEngine:
             ina, inb = a in vs, b in vs
             if ina and inb:
                 work.append((node, vs, None))
+                known.add(vs)
             elif ina or inb:
                 work.append((node, vs, b if ina else a))
 
@@ -295,7 +302,10 @@ class DenseSubgraphEngine:
                 self._dirty.add(parent)
 
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
-        """Grow around a set containing both endpoints (round ``i``)."""
+        """Grow around a set containing both endpoints (round ``i``).
+
+        Extensions in ``_known`` (indexed before the update) are not probed.
+        """
         cfg = self.cfg
         m = node.meta
         card = m.card
@@ -306,34 +316,14 @@ class DenseSubgraphEngine:
         if i > self._budget:
             return
         self.stats.explore_calls += 1
-        stats = self.stats
         score = m.score
         idx = self.index
-        epoch = self._epoch
-        size_next = cfg._sizes[card + 1]
-        bar_next = cfg._thresholds[card + 1] - EPS
-        log = self.probe_log if self.record_probes else None
+        known = self._known
         gamma = self.graph.merged_neighborhood(vs)
         for y in sorted(gamma):
-            s = score + gamma[y]
-            target = idx.extend_lookup(node, y)
-            stats.probes += 1
-            if target is None or target.meta is None:
-                if s / size_next >= bar_next:
-                    evs = _with(vs, y)
-                    if log is not None:
-                        log.append((evs, s, True))
-                    self._admit(evs, s, i)
-                else:
-                    stats.rejected_probes += 1
-                    if log is not None:
-                        log.append((_with(vs, y), s, False))
-            else:
-                t = target.meta.iteration_tag(epoch)
-                if t is not None and t > i:
-                    target.meta.tag = i
-                    target.meta.tag_epoch = epoch
-                    self._explore(target, _with(vs, y), i + 1)
+            evs = _with(vs, y)
+            if evs not in known:
+                self._probe(evs, score + gamma[y], i, idx.extend_lookup(node, y))
         if (cfg.is_dense(card + 1, score) and card + 2 <= cfg.n_max
                 and i + 1 <= self._budget):
             # Newly able to absorb any vertex: extensions by a disconnected
@@ -361,7 +351,7 @@ class DenseSubgraphEngine:
         return sum([row.get(v, 0.0) for v in vs])
 
     def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
-        """Augment a one-endpoint set with the other endpoint."""
+        """Augment a one-endpoint set with the other, unless ``_known`` holds it."""
         cfg = self.cfg
         m = node.meta
         if m.card + 1 > cfg.n_max:
@@ -370,6 +360,8 @@ class DenseSubgraphEngine:
             return  # was too dense before: its supersets were already known
         self.stats.cheap_explores += 1
         evs = _with(vs, other)
+        if evs in self._known:
+            return
         target = self.index.extend_lookup(node, other)
         if target is not None and target.meta is not None:
             self._probe(evs, 0.0, 1, node=target)  # score unused: already indexed

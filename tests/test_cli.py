@@ -176,16 +176,26 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
     assert "absent.txt" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, named", [
     (["run", "--delta-it", "abc"], "--delta-it"),
     (["verify", "--checkpoint-every", "0"], "--checkpoint-every"),
     (["top", "--penalty", "1.5"], "--penalty"),
+    (["top", "--k", "0"], "--k"),
+    (["top", "--k", "-1"], "--k"),
+    # the default --delta-it 1% needs a range these two leave undefined
+    (["run", "--nmax", "2"], "n_max must be at least 3"),
+    (["run", "--threshold", "0"], "threshold must be positive"),
 ])
-def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, flag):
+def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, named):
     path = tmp_path / "s.txt"
     path.write_text("1 1 2 0.5\n", encoding="utf-8")
     assert main([*argv, "--updates", str(path)]) == 2
-    assert flag in _one_error_line(capsys)
+    assert named in _one_error_line(capsys)
+
+
+def test_gen_spec_it_cannot_build_is_an_error_line(capsys):
+    assert main(["gen", "--vertices", "1", "--count", "5"]) == 2
+    assert "planted sets exceed the vertex universe" in _one_error_line(capsys)
 
 
 # -- stream formats ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
                          WeightedGraph, delta_it_upper)
 from densestream.index import STAR
 from densestream.oracle import brute_force_dense, diff
+from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
                             random_update)
 
@@ -58,6 +60,39 @@ def test_cheap_extension_below_bar_inserts_nothing(walkthrough_cfg):
     engine = build_walkthrough_engine(walkthrough_cfg)
     engine.process_update(3, 5, 0.3, 50)  # {3,5} stays sparse: 0.4 < 0.9
     assert (3, 5) not in engine.snapshot_dense()
+
+
+def test_second_lift_never_reprobes_sets_indexed_before_it(walkthrough_cfg):
+    # (1,2,3), (1,2,4) and (1,2,3,4) hold both endpoints and were indexed by
+    # the first lift: the second re-scores them and never probes them again
+    engine = build_walkthrough_engine(walkthrough_cfg, record_probes=True)
+    engine.process_update(1, 2, 0.15, 100)
+    engine.probe_log.clear()
+    probes = engine.stats.probes
+    events = engine.process_update(1, 2, 0.01, 101)
+    assert [(e.kind, e.vertices) for e in events] == [("GAIN", (1, 2, 4))]
+    assert [(vs, ok) for vs, _, ok in engine.probe_log] == [
+        ((1, 2, 5), False), ((1, 2, 3, 5), False), ((1, 2, 4, 5), False)]
+    assert engine.stats.probes - probes == 3
+
+
+def test_set_admitted_this_update_grows_again_from_a_lower_round():
+    # The fourth update admits (2,3,4,5) at round 2, then reaches it again at
+    # round 1 as the cheap step of (2,3,4).  Only that second visit grows it to
+    # (1,2,3,4,5) within the two rounds the cap allows, so the sets indexed
+    # before the update, which are never probed again, must not include it.
+    family = DensityFamily.AVGDEGREE
+    cfg = DensityConfig(family, 1.0, 5, 0.18722127345784303 * delta_it_upper(family, 1.0, 5))
+    g = WeightedGraph(); g.ensure_universe(5)
+    engine = DenseSubgraphEngine(cfg, g, iteration_cap=2)
+    for seq, (a, b, delta) in enumerate([(1, 5, 1.36), (3, 4, 0.69), (2, 3, 1.33)], 1):
+        engine.process_update(a, b, delta, seq)
+    assert (2, 3, 4, 5) not in engine.state_signature()
+    events = engine.process_update(3, 5, 1.63, 4)
+    assert [(e.kind, e.vertices) for e in events] == [
+        ("GAIN", (1, 2, 3, 5)), ("GAIN", (1, 2, 3, 4, 5))]
+    truth = brute_force_dense(g, cfg, strategy="both")
+    assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
 
 
 def test_zero_magnitude_update_is_a_no_op(walkthrough_cfg):
@@ -349,6 +384,53 @@ def test_index_stays_structurally_sound_under_random_streams():
             m = node.meta
             assert cfg.is_dense(m.card, m.score)
             assert m.star_depth == cfg.free_extension_depth(m.card, m.score)
+
+
+# -- the event stream, pinned ------------------------------------------------------------
+
+def _deep_star_replay(seed: int, star_mode: bool) -> list[str]:
+    """Event lines and final state of one random stream whose star depths grow deep.
+
+    Small universes, threshold 1.0 and large lifts make many sets too dense,
+    with star depths reaching 3 to 5; negative updates take back a share of
+    the pair's weight, at times all of it.
+    """
+    rng = random.Random(seed)
+    family = rng.choice(list(DensityFamily))
+    n_max = rng.randint(5, 7)
+    cfg = DensityConfig(family, 1.0, n_max,
+                        rng.uniform(0.1, 0.6) * delta_it_upper(family, 1.0, n_max))
+    universe = rng.randint(7, 12)
+    g = WeightedGraph(); g.ensure_universe(universe)
+    engine = DenseSubgraphEngine(cfg, g, star_mode=star_mode)
+    lines = []
+    for seq in range(1, rng.randint(40, 90) + 1):
+        a, b = sorted(rng.sample(range(1, universe + 1), 2))
+        w = g.weight(a, b)
+        r = rng.random()
+        if r < 0.45 or (r >= 0.6 and w == 0.0):
+            delta = round(rng.uniform(0.01, 1.5), 6)
+        elif r < 0.6:
+            delta = round(rng.uniform(3.0, 20.0), 6)
+        else:
+            delta = -w * rng.choice((1.0, rng.random()))
+        lines.extend(map(format_event, engine.process_update(a, b, delta, seq)))
+    lines.append(repr(sorted(engine.state_signature().items())))
+    return lines
+
+
+# sha256 of the 60 replays below, taken from an engine that still probed the
+# sets indexed ahead of an update.  Any change to the events or the final
+# index of one replay changes it.
+PINNED_REPLAY_SHA256 = "30461f275666e8667119386b16ef45650d4b875b7f237bbc863f711714d52cb2"
+
+
+def test_event_stream_is_pinned_on_deep_star_replays():
+    h = hashlib.sha256()
+    for seed in range(60):
+        for line in _deep_star_replay(seed, star_mode=seed % 5 != 4):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == PINNED_REPLAY_SHA256
 
 
 # -- rejected updates leave no trace ---------------------------------------------------
