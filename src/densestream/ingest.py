@@ -14,6 +14,14 @@ A document only re-weighs edges incident to its own entities; edges between
 untouched entities keep the weight computed at the last time one of their
 endpoints appeared.  That staleness approximation is what makes incremental
 emission possible.
+
+Each document reads the total and its own entities' occurrences once; it
+has just touched them, so they need no decay.  Under llr a pair is then
+gated in order: the document entity's support, the partner's stored count,
+the partner's decayed count, and only then are the co-occurrence decayed
+and the table built.  The stored-count gate is exact because decay never
+raises a count: c * exp(-dt/tau) <= c holds also in floating point, for
+dt >= 0 and a finite tau > 0, which is why the mean life must be finite.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ class DecayedCounts:
     """Exponentially decayed occurrence / co-occurrence / total counters."""
 
     def __init__(self, mean_life: float = DEFAULT_MEAN_LIFE):
-        if mean_life <= 0:
-            raise IngestError("mean life must be positive")
+        if not (math.isfinite(mean_life) and mean_life > 0):
+            raise IngestError(f"mean life must be finite and positive, got {mean_life}")
         self.mean_life = mean_life
         self._occ: dict[str, list[float]] = {}        # entity -> [count, t]
         self._co: dict[tuple[str, str], list[float]] = {}
@@ -89,6 +97,15 @@ class DecayedCounts:
         cell = self._occ.get(e)
         return 0.0 if cell is None else self._decayed(cell[0], cell[1], t)
 
+    def stored_occurrence(self, e: str) -> float:
+        """Occurrence count of e as of its last touch.
+
+        Decay never raises a count, so this bounds the decayed count at any
+        later time from above, and costs no ``exp``.
+        """
+        cell = self._occ.get(e)
+        return 0.0 if cell is None else cell[0]
+
     def cooccurrence(self, e1: str, e2: str, t: float) -> float:
         key = (e1, e2) if e1 <= e2 else (e2, e1)
         cell = self._co.get(key)
@@ -101,22 +118,25 @@ class DecayedCounts:
         return self._partners.get(e, set())
 
     @property
+    def live_cells(self) -> int:
+        """Co-occurrence cells held; none is ever dropped."""
+        return len(self._co)
+
+    @property
     def clock(self) -> Optional[float]:
         return self._clock
+
+
+def _table(n: float, k1: float, k2: float,
+           k11: float) -> tuple[float, float, float, float]:
+    return k11, max(k1 - k11, 0.0), max(k2 - k11, 0.0), max(n - k1 - k2 + k11, 0.0)
 
 
 def contingency_table(counts: DecayedCounts, e1: str, e2: str,
                       t: float) -> tuple[float, float, float, float]:
     """(n11, n10, n01, n00) of decayed counts at time t, clamped at zero."""
-    n = counts.total(t)
-    k1 = counts.occurrence(e1, t)
-    k2 = counts.occurrence(e2, t)
-    k11 = counts.cooccurrence(e1, e2, t)
-    n11 = k11
-    n10 = max(k1 - k11, 0.0)
-    n01 = max(k2 - k11, 0.0)
-    n00 = max(n - k1 - k2 + k11, 0.0)
-    return n11, n10, n01, n00
+    return _table(counts.total(t), counts.occurrence(e1, t),
+                  counts.occurrence(e2, t), counts.cooccurrence(e1, e2, t))
 
 
 def g_statistic(n11: float, n10: float, n01: float, n00: float) -> float:
@@ -153,13 +173,14 @@ def phi_coefficient(n11: float, n10: float, n01: float, n00: float) -> float:
     return (n11 * n00 - n10 * n01) / math.sqrt(denom)
 
 
-def association_weight(counts: DecayedCounts, measure: AssociationMeasure,
-                       e1: str, e2: str, t: float) -> float:
-    """Edge weight for a pair at time t; insignificant pairs weigh exactly 0."""
-    table = contingency_table(counts, e1, e2, t)
+def table_weight(measure: AssociationMeasure, n: float, k1: float, k2: float,
+                 k11: float) -> float:
+    """Edge weight from decayed counts at one instant: the total n, the two
+    occurrences k1 and k2, and their co-occurrence k11.  Insignificant pairs
+    weigh exactly 0."""
+    table = _table(n, k1, k2, k11)
     if measure is AssociationMeasure.LLR_THRESHOLDED:
-        if (counts.occurrence(e1, t) < LLR_MIN_SUPPORT
-                or counts.occurrence(e2, t) < LLR_MIN_SUPPORT):
+        if k1 < LLR_MIN_SUPPORT or k2 < LLR_MIN_SUPPORT:
             return 0.0
         # Only positive association counts; a pair co-occurring less often
         # than independence predicts must not create an edge.
@@ -169,6 +190,13 @@ def association_weight(counts: DecayedCounts, measure: AssociationMeasure,
     if chi2_statistic(*table) > CHI2_CRITICAL:
         return max(phi_coefficient(*table), 0.0)
     return 0.0
+
+
+def association_weight(counts: DecayedCounts, measure: AssociationMeasure,
+                       e1: str, e2: str, t: float) -> float:
+    """Edge weight for a pair at time t; insignificant pairs weigh exactly 0."""
+    return table_weight(measure, counts.total(t), counts.occurrence(e1, t),
+                        counts.occurrence(e2, t), counts.cooccurrence(e1, e2, t))
 
 
 class EntityDictionary:
@@ -208,7 +236,9 @@ class DocumentIngestor:
 
     After each document only the pairs incident to its entities are
     recomputed; an update is emitted when a recomputed weight moved by more
-    than the comparison tolerance.
+    than the comparison tolerance.  Plain counters report the work done so
+    far: pairs re-weighed, pairs whose contingency table was built, and
+    updates emitted; ``counts.live_cells`` gauges the state held.
     """
 
     def __init__(self, measure: AssociationMeasure = AssociationMeasure.CHI2_CORRELATION,
@@ -219,6 +249,9 @@ class DocumentIngestor:
         self.dictionary = dictionary if dictionary is not None else EntityDictionary()
         self._weights: dict[tuple[str, str], float] = {}  # last emitted weight
         self._seq = 0
+        self.pairs_reweighed = 0
+        self.pairs_tabled = 0
+        self.updates_emitted = 0
 
     def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
         """Count a document, then re-weigh every pair incident to its entities.
@@ -226,22 +259,45 @@ class DocumentIngestor:
         Emits one update per pair whose weight moved by more than the
         tolerance, with consecutive sequence numbers.  A rejected document
         changes nothing.
+
+        Under llr a partner x of a document entity e weighs 0, with no
+        ``exp``, when e's support or x's stored count is below the bar: the
+        stored count bounds the decayed one from above (see the module
+        docstring).  Otherwise x's count is decayed once and gated again,
+        and only then is the co-occurrence decayed and the table built.
         """
+        counts = self.counts
         ents = sorted(set(entities))
-        self.counts.observe(t, ents)  # first, so a rejected document registers nothing
+        counts.observe(t, ents)  # first, so a rejected document registers nothing
         for e in ents:
             self.dictionary.id_for(e)  # ids follow first appearance, not first edge
-        t = self.counts.clock
+        t = counts.clock
+        n = counts.total(t)
+        measure = self.measure
+        gated = measure is AssociationMeasure.LLR_THRESHOLDED
+        weights = self._weights
         updates: list[EdgeUpdate] = []
         recomputed: set[tuple[str, str]] = set()
+        tabled = 0
         for e in ents:
-            for x in sorted(self.counts.partners(e)):
+            k_e = counts.occurrence(e, t)
+            closed = gated and k_e < LLR_MIN_SUPPORT
+            for x in sorted(counts.partners(e)):
                 key = (e, x) if e <= x else (x, e)
                 if key in recomputed:
                     continue
                 recomputed.add(key)
-                new_w = association_weight(self.counts, self.measure, key[0], key[1], t)
-                old_w = self._weights.get(key, 0.0)
+                new_w = 0.0
+                if not (closed or gated and counts.stored_occurrence(x) < LLR_MIN_SUPPORT):
+                    k_x = counts.occurrence(x, t)
+                    if not (gated and k_x < LLR_MIN_SUPPORT):
+                        tabled += 1
+                        k11 = counts.cooccurrence(e, x, t)
+                        # k1 is the occurrence of key[0]: the table is not
+                        # symmetric in floating point
+                        new_w = (table_weight(measure, n, k_e, k_x, k11) if e == key[0]
+                                 else table_weight(measure, n, k_x, k_e, k11))
+                old_w = weights.get(key, 0.0)
                 if abs(new_w - old_w) > EPS:
                     self._seq += 1
                     updates.append(EdgeUpdate(
@@ -251,9 +307,12 @@ class DocumentIngestor:
                         new_w - old_w,
                     ))
                     if new_w == 0.0:
-                        self._weights.pop(key, None)
+                        weights.pop(key, None)
                     else:
-                        self._weights[key] = new_w
+                        weights[key] = new_w
+        self.pairs_reweighed += len(recomputed)
+        self.pairs_tabled += tabled
+        self.updates_emitted += len(updates)
         return updates
 
 

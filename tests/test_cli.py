@@ -168,6 +168,16 @@ def test_ingest_names_the_line_it_rejects(tmp_path, capsys, docs, where):
     assert where in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("mean_life", ["nan", "inf"])
+def test_ingest_rejects_a_non_finite_mean_life(tmp_path, capsys, mean_life):
+    path = tmp_path / "docs.txt"
+    path.write_text("10\ta,b\n", encoding="utf-8")
+    rc = main(["ingest", "--documents", str(path), "--out", str(tmp_path / "u.txt"),
+               "--mean-life-secs", mean_life])
+    assert rc == 2
+    assert "mean life" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["run", "verify", "top", "ingest"])
 def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
     flag = "--documents" if command == "ingest" else "--updates"

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import statistics
 
 import pytest
@@ -6,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from densestream import WeightedGraph
+from densestream import EPS, EdgeUpdate, WeightedGraph
 from densestream.ingest import (AssociationMeasure, DecayedCounts,
                                 DocumentIngestor, EntityDictionary,
                                 IngestError, association_weight,
                                 chi2_statistic, contingency_table,
                                 g_statistic, parse_document_line,
                                 phi_coefficient)
+from densestream.streams import format_update
 
 
 # -- decayed counters ------------------------------------------------------------
@@ -68,6 +71,14 @@ def test_decay_composes_across_intermediate_touches(gap1, gap2, tau):
     staged = c.occurrence("a", gap1 + gap2)
     direct = math.exp(-(gap1 + gap2) / tau)
     assert staged == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("mean_life", [math.nan, math.inf, 0.0, -1.0])
+def test_mean_life_must_be_finite_and_positive(mean_life):
+    with pytest.raises(IngestError, match="mean life"):
+        DecayedCounts(mean_life)
+    with pytest.raises(IngestError, match="mean life"):
+        DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, mean_life)
 
 
 def test_repeated_observation_decays_then_increments():
@@ -234,6 +245,123 @@ def test_staleness_error_metric_is_computable():
     assert errors
     assert statistics.median(errors) >= 0.0
     assert all(math.isfinite(e) for e in errors)
+
+
+# -- the per-post loop against the per-pair reference -----------------------------------
+
+class PerPairIngestor(DocumentIngestor):
+    """Reference: every incident pair weighed from scratch by association_weight.
+
+    It counts a pair as tabled when the llr support gate would let it
+    through at t, which every pair does under chi2."""
+
+    def process_document(self, t, entities):
+        ents = sorted(set(entities))
+        self.counts.observe(t, ents)
+        for e in ents:
+            self.dictionary.id_for(e)
+        t = self.counts.clock
+        updates = []
+        recomputed = set()
+        for e in ents:
+            for x in sorted(self.counts.partners(e)):
+                key = (e, x) if e <= x else (x, e)
+                if key in recomputed:
+                    continue
+                recomputed.add(key)
+                new_w = association_weight(self.counts, self.measure, key[0], key[1], t)
+                self.pairs_reweighed += 1
+                self.pairs_tabled += (self.measure is AssociationMeasure.CHI2_CORRELATION
+                                      or min(self.counts.occurrence(key[0], t),
+                                             self.counts.occurrence(key[1], t)) >= 5)
+                old_w = self._weights.get(key, 0.0)
+                if abs(new_w - old_w) > EPS:
+                    self._seq += 1
+                    updates.append(EdgeUpdate(self._seq, self.dictionary.id_for(key[0]),
+                                              self.dictionary.id_for(key[1]), new_w - old_w))
+                    if new_w == 0.0:
+                        self._weights.pop(key, None)
+                    else:
+                        self._weights[key] = new_w
+        self.updates_emitted += len(updates)
+        return updates
+
+
+def _bursty_stream(rng, mean_life):
+    """Posts in bursts sharing one timestamp, so that supports reach whole
+    numbers such as exactly 5, with gaps between bursts that are sometimes
+    long enough to decay every count below the llr support bar.  Posts
+    mention an entity more than once."""
+    pool = [f"n{i}" for i in range(rng.randint(4, 8))]
+    t = 0.0
+    for _ in range(rng.randint(8, 20)):
+        t += mean_life * (rng.uniform(1.0, 4.0) if rng.random() < 0.25 else rng.uniform(0.0, 0.2))
+        for _ in range(rng.randint(1, 12)):
+            yield t, rng.choices(pool, k=rng.choice([0, 1, 2, 3, 4, 5]))
+
+
+@pytest.mark.parametrize("mean_life", [30.0, 7200.0, 1e6])
+@pytest.mark.parametrize("measure", ["llr", "chi2"])
+def test_per_post_loop_emits_what_the_per_pair_loop_emits(measure, mean_life):
+    measure = AssociationMeasure(measure)
+    rng = random.Random(f"{measure.value}-{mean_life}")
+    emitted = 0
+    for _ in range(60):
+        ing = DocumentIngestor(measure, mean_life)
+        ref = PerPairIngestor(measure, mean_life)
+        for t, ents in _bursty_stream(rng, mean_life):
+            assert ing.process_document(t, ents) == ref.process_document(t, ents)
+        work = (ing.pairs_reweighed, ing.pairs_tabled, ing.updates_emitted)
+        assert work == (ref.pairs_reweighed, ref.pairs_tabled, ref.updates_emitted)
+        emitted += ing.updates_emitted
+    assert emitted > 0
+
+
+STORY_STREAM_SHA256 = {  # format_update lines, computed with the per-pair loop
+    "llr": "f7fe1606352b83a7e8ec78ebec3302b53f00753a8f09f639646b59fa7af498a7",
+    "chi2": "9fe510fbd5101acc05918258540e2f30a95244cf08524036fce3a0a6a3101c2a",
+}
+
+
+def _story_stream(seed=7, count=2000):
+    """Zipf background entities, plus a 5-entity story in a share of the
+    posts of every 400 s burst; one post every 2 s on average."""
+    rng = random.Random(seed)
+    names = [f"e{r}" for r in range(1, 301)]
+    zipf = [1.0 / r for r in range(1, 301)]
+    docs, t = [], 0.0
+    for _ in range(count):
+        t += rng.expovariate(0.5)
+        ents = set(rng.choices(names, zipf, k=1 + rng.randrange(3)))
+        burst, phase = divmod(t, 600.0)
+        if phase < 400.0 and rng.random() < 0.2:
+            ents.update(rng.sample([f"s{burst:.0f}_{j}" for j in range(5)], 3))
+        docs.append((round(t, 3), sorted(ents)))
+    return docs
+
+
+@pytest.mark.parametrize("measure", ["llr", "chi2"])
+def test_update_stream_is_pinned_on_a_story_stream(measure):
+    ing = DocumentIngestor(AssociationMeasure(measure))
+    h = hashlib.sha256()
+    for t, ents in _story_stream():
+        for u in ing.process_document(t, ents):
+            h.update(format_update(u).encode() + b"\n")
+    assert h.hexdigest() == STORY_STREAM_SHA256[measure]
+
+
+def test_work_counters_add_up_per_post():
+    ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED)
+    for _ in range(20):
+        ing.process_document(0.0, [])
+    for _ in range(6):
+        ing.process_document(0.0, ["a", "b"])       # a-b opens on the fifth
+    ing.process_document(0.0, ["c"])
+    assert ing.process_document(0.0, ["a", "c"]) == []
+    assert ing.pairs_reweighed == 6 + 2
+    assert ing.pairs_tabled == 2 + 1                  # c's support of 2 closes a-c
+    assert ing.updates_emitted == 1
+    assert ing.counts.live_cells == 2
 
 
 # -- plumbing ----------------------------------------------------------------------
