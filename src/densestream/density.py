@@ -62,28 +62,6 @@ def delta_it_upper(family: DensityFamily, threshold: float, n_max: int) -> float
     return family.size_weight(n_max) * threshold / (n_max * (n_max - 2))
 
 
-class StaticDensityClass(Enum):
-    SPARSE = "sparse"
-    DENSE = "dense"
-    TOO_DENSE = "too_dense"
-
-
-@dataclass(frozen=True)
-class SubgraphStatus:
-    """Static classification of one (cardinality, score) pair."""
-
-    static_class: StaticDensityClass
-    output_dense: bool
-
-    @property
-    def dense(self) -> bool:
-        return self.static_class is not StaticDensityClass.SPARSE
-
-    @property
-    def too_dense(self) -> bool:
-        return self.static_class is StaticDensityClass.TOO_DENSE
-
-
 class ConfigError(ValueError):
     pass
 
@@ -157,19 +135,10 @@ class DensityConfig:
         if not 2 <= n <= self.n_max:
             raise ValueError(f"cardinality {n} outside [2, {self.n_max}]")
 
-    def size_weight(self, n: int) -> float:
-        self._check_card(n)
-        return self._sizes[n]
-
     def threshold_for(self, n: int) -> float:
         """Minimum density for an n-set to be worth indexing (T_n)."""
         self._check_card(n)
         return self._thresholds[n]
-
-    def schedule(self, n: int) -> tuple[float, float, float]:
-        """(S(n), g(n), T_n) for 2 <= n <= n_max."""
-        self._check_card(n)
-        return self._sizes[n], self.family.norm(n), self._thresholds[n]
 
     # -- classification -----------------------------------------------------
 
@@ -198,23 +167,6 @@ class DensityConfig:
             else:
                 break
         return k
-
-    def classify(self, card: int, score: float) -> SubgraphStatus:
-        """Static class of an observed (cardinality, score) pair.
-
-        Too-dense uses the score form score >= T_{n+1} * S(n+1): the set
-        stays dense after adding any vertex, even one contributing nothing.
-        Sets of full cardinality are never too-dense (T_{n_max+1} does not
-        exist).
-        """
-        self._check_card(card)
-        if score < 0:
-            raise ValueError("score must be non-negative")
-        if not self.is_dense(card, score):
-            return SubgraphStatus(StaticDensityClass.SPARSE, False)
-        too = self.free_extension_depth(card, score) >= 1
-        cls = StaticDensityClass.TOO_DENSE if too else StaticDensityClass.DENSE
-        return SubgraphStatus(cls, self.is_output_dense(card, score))
 
     # -- exploration budget ---------------------------------------------------
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .density import EPS, DensityConfig
 from .graph import EdgeUpdate, WeightedGraph
@@ -76,17 +76,11 @@ class DenseSubgraphEngine:
     """Single-writer engine owning the graph and the dense-set index."""
 
     def __init__(self, cfg: DensityConfig, graph: Optional[WeightedGraph] = None,
-                 star_mode: bool = True,
-                 event_sink: Optional[Callable[[DensityEvent], None]] = None,
-                 record_probes: bool = False,
-                 iteration_cap: Optional[int] = None):
+                 star_mode: bool = True, iteration_cap: Optional[int] = None):
         self.cfg = cfg
         self.graph = graph if graph is not None else WeightedGraph()
         self.index = SubgraphIndex(validator=cfg.is_dense)
         self.star_mode = star_mode
-        self.event_sink = event_sink
-        self.record_probes = record_probes
-        self.probe_log: list[tuple[tuple[int, ...], float, bool]] = []
         self.iteration_cap = iteration_cap  # overrides the derived round budget
         self.stats = EngineStats()
         self._epoch = 0
@@ -133,9 +127,6 @@ class DenseSubgraphEngine:
             self.stats.peak_entries = len(self.index)
         events = self._events
         self._events = []
-        if self.event_sink is not None:
-            for ev in events:
-                self.event_sink(ev)
         return events
 
     def snapshot_views(self, expand: bool = True) -> tuple[
@@ -169,9 +160,6 @@ class DenseSubgraphEngine:
                         if d >= bar:
                             output[evs] = d
         return dense, output
-
-    def snapshot_dense(self, expand: bool = True) -> dict[tuple[int, ...], float]:
-        return self.snapshot_views(expand)[0]
 
     def snapshot_output_dense(self, expand: bool = True) -> dict[tuple[int, ...], float]:
         return self.snapshot_views(expand)[1]
@@ -236,23 +224,18 @@ class DenseSubgraphEngine:
         for vs, node in victims:
             m = node.meta
             s_new = m.score + self._delta
-            was_out = cfg.is_output_dense(m.card, m.score)
-            if not cfg.is_dense(m.card, s_new):
-                if was_out:
-                    self._emit(LOSE, vs, cfg.density(m.card, s_new))
-                self._dirty.discard(node)
-                self.index.remove(node)
-            else:
-                if was_out and not cfg.is_output_dense(m.card, s_new):
-                    self._emit(LOSE, vs, cfg.density(m.card, s_new))
-                m.score = s_new
-                self._maintain_closure(node, vs)
+            if cfg.is_dense(m.card, s_new):
+                self._rescore(node, vs)
+                continue
+            if cfg.is_output_dense(m.card, m.score):
+                self._emit(LOSE, vs, cfg.density(m.card, s_new))
+            self._dirty.discard(node)
+            self.index.remove(node)
 
     # -- positive updates ------------------------------------------------------------------
 
     def _positive(self, prev_universe: int) -> None:
         a, b = self._lo, self._hi
-        cfg = self.cfg
         idx = self.index
         work: list[tuple[_Node, tuple[int, ...], Optional[int]]] = []
         cores: list[tuple[_Node, tuple[int, ...]]] = []
@@ -260,8 +243,6 @@ class DenseSubgraphEngine:
         for vs, node in list(idx.iterate_containing(a, b)):
             if node.label is STAR:
                 cores.append((node.parent, vs))
-                continue
-            if node.meta is None:
                 continue
             ina, inb = a in vs, b in vs
             if ina and inb:
@@ -273,12 +254,7 @@ class DenseSubgraphEngine:
         # Re-score sets containing both endpoints; report threshold crossings.
         for node, vs, other in work:
             if other is None:
-                m = node.meta
-                was_out = cfg.is_output_dense(m.card, m.score)
-                m.score += self._delta
-                if not was_out and cfg.is_output_dense(m.card, m.score):
-                    self._emit(GAIN, vs, cfg.density(m.card, m.score))
-                self._maintain_closure(node, vs)
+                self._rescore(node, vs)
 
         # The updated pair itself may now be worth indexing.
         pair = (a, b)
@@ -382,8 +358,6 @@ class DenseSubgraphEngine:
         """
         cfg = self.cfg
         m = node.meta
-        if m is None:
-            return
         self.stats.star_scans += 1
         a, b = self._lo, self._hi
         ina, inb = a in vs, b in vs
@@ -427,15 +401,10 @@ class DenseSubgraphEngine:
                 m.tag_epoch = self._epoch
                 self._explore(node, vs, i + 1)
             return
-        card = len(vs)
-        if self.cfg.is_dense(card, score):
-            if self.record_probes:
-                self.probe_log.append((vs, score, True))
+        if self.cfg.is_dense(len(vs), score):
             self._admit(vs, score, i)
         else:
             self.stats.rejected_probes += 1
-            if self.record_probes:
-                self.probe_log.append((vs, score, False))
 
     def _admit(self, vs: tuple[int, ...], score: float, i: int) -> None:
         cfg = self.cfg
@@ -449,7 +418,17 @@ class DenseSubgraphEngine:
         self._maintain_closure(node, vs)
         self._explore(node, vs, 1 if stable else i + 1)
 
-    # -- star-depth upkeep ------------------------------------------------------------------
+    # -- score and star-depth upkeep --------------------------------------------------------
+
+    def _rescore(self, node: _Node, vs: tuple[int, ...]) -> None:
+        """Shift a kept set's score by the update, report a crossing of the
+        output bar, and refresh its star depth."""
+        cfg, m = self.cfg, node.meta
+        was_out = cfg.is_output_dense(m.card, m.score)
+        m.score += self._delta
+        if cfg.is_output_dense(m.card, m.score) != was_out:
+            self._emit(LOSE if was_out else GAIN, vs, cfg.density(m.card, m.score))
+        self._maintain_closure(node, vs)
 
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
         depth = self.cfg.free_extension_depth(node.meta.card, node.meta.score)

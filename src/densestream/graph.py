@@ -72,9 +72,6 @@ class WeightedGraph:
                 if u < v:
                     yield u, v, w
 
-    def edge_count(self) -> int:
-        return sum(len(n) for n in self._adj.values()) // 2
-
     # -- mutation ---------------------------------------------------------------
 
     def apply_update(self, a: int, b: int, delta: float) -> tuple[float, float]:
@@ -139,6 +136,3 @@ class WeightedGraph:
             for v in members[i + 1:]:
                 total += row.get(v, 0.0)
         return total
-
-    def is_empty(self) -> bool:
-        return all(not nbrs for nbrs in self._adj.values())

@@ -50,6 +50,10 @@ class AssociationMeasure(str, Enum):
     LLR_THRESHOLDED = "llr"
     CHI2_CORRELATION = "chi2"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise IngestError(f"unknown association measure {value!r}")
+
 
 class DecayedCounts:
     """Exponentially decayed occurrence / co-occurrence / total counters."""
@@ -192,11 +196,12 @@ def table_weight(measure: AssociationMeasure, n: float, k1: float, k2: float,
     return 0.0
 
 
-def association_weight(counts: DecayedCounts, measure: AssociationMeasure,
+def association_weight(counts: DecayedCounts, measure: AssociationMeasure | str,
                        e1: str, e2: str, t: float) -> float:
     """Edge weight for a pair at time t; insignificant pairs weigh exactly 0."""
-    return table_weight(measure, counts.total(t), counts.occurrence(e1, t),
-                        counts.occurrence(e2, t), counts.cooccurrence(e1, e2, t))
+    return table_weight(AssociationMeasure(measure), counts.total(t),
+                        counts.occurrence(e1, t), counts.occurrence(e2, t),
+                        counts.cooccurrence(e1, e2, t))
 
 
 class EntityDictionary:
@@ -241,11 +246,11 @@ class DocumentIngestor:
     updates emitted; ``counts.live_cells`` gauges the state held.
     """
 
-    def __init__(self, measure: AssociationMeasure = AssociationMeasure.CHI2_CORRELATION,
+    def __init__(self, measure: AssociationMeasure | str = AssociationMeasure.CHI2_CORRELATION,
                  mean_life: float = DEFAULT_MEAN_LIFE,
                  dictionary: Optional[EntityDictionary] = None):
+        self.measure = AssociationMeasure(measure)
         self.counts = DecayedCounts(mean_life)
-        self.measure = measure
         self.dictionary = dictionary if dictionary is not None else EntityDictionary()
         self._weights: dict[tuple[str, str], float] = {}  # last emitted weight
         self._seq = 0

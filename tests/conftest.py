@@ -47,6 +47,27 @@ def build_walkthrough_engine(cfg: DensityConfig, **kwargs) -> DenseSubgraphEngin
     return engine
 
 
+def record_probes(engine: DenseSubgraphEngine) -> list[tuple[tuple[int, ...], float, bool]]:
+    """Log every probe of a set the index does not hold, from now on.
+
+    Each entry is (set, score, accepted), taken before the probe runs; a
+    probe that meets an indexed set only re-tags it and is not logged.
+    Wraps ``_probe`` on this engine instance, so the engine's own recursive
+    probes are logged too.
+    """
+    log: list[tuple[tuple[int, ...], float, bool]] = []
+    probe, find, cfg = engine._probe, engine.index.find, engine.cfg
+
+    def logged(vs, score, i, node=False):
+        hit = find(vs)
+        if hit is None or hit.meta is None:
+            log.append((vs, score, cfg.is_dense(len(vs), score)))
+        probe(vs, score, i, node)
+
+    engine._probe = logged
+    return log
+
+
 def random_update(rng: random.Random, graph: WeightedGraph, vertices: int,
                   magnitude: float, negative_p: float = 0.35):
     """One random update that never drives a weight negative."""

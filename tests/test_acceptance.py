@@ -21,7 +21,7 @@ from densestream.ingest import (AssociationMeasure, DecayedCounts,
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
-                            build_walkthrough_graph)
+                            build_walkthrough_graph, record_probes)
 
 FAMILIES = list(DensityFamily)
 
@@ -76,18 +76,18 @@ def test_acceptance_2_walkthrough_scenario(walkthrough_cfg):
                             strategy="both")
     assert set(pre.dense) == WALKTHROUGH_PRE_DENSE
 
-    engine = build_walkthrough_engine(walkthrough_cfg, record_probes=True)
-    assert set(engine.snapshot_dense()) == WALKTHROUGH_PRE_DENSE
-    engine.probe_log.clear()
+    engine = build_walkthrough_engine(walkthrough_cfg)
+    assert set(engine.snapshot_views()[0]) == WALKTHROUGH_PRE_DENSE
+    probe_log = record_probes(engine)
 
     events = engine.process_update(1, 2, 0.15, 11)
-    gained = set(engine.snapshot_dense()) - WALKTHROUGH_PRE_DENSE
+    gained = set(engine.snapshot_views()[0]) - WALKTHROUGH_PRE_DENSE
     assert gained == {(1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 3, 4)}
     assert [format_event(e) for e in events] == [
         "11 GAIN 1.023333333 1,2,3",
         "11 GAIN 1.002333333 1,2,3,4",
     ]
-    rejected = [(vs, s) for vs, s, accepted in engine.probe_log if not accepted]
+    rejected = [(vs, s) for vs, s, accepted in probe_log if not accepted]
     assert ((1, 2, 5), pytest.approx(1.15)) in rejected
     _ok(2, "walkthrough update inserts {1,2},{1,2,3},{1,2,4},{1,2,3,4}, "
            "reports the two output-dense gains, and rejects {1,2,5}")
@@ -191,8 +191,8 @@ def test_acceptance_5_implicit_representation_speedup():
         explicit_times.append(t)
     saturated = sum(1 for _ in star_engine.index.star_parents())
     assert saturated > 0, "workload failed to plant saturated sets"
-    dense_star = star_engine.snapshot_dense(expand=True)
-    dense_explicit = explicit_engine.snapshot_dense(expand=True)
+    dense_star = star_engine.snapshot_views(expand=True)[0]
+    dense_explicit = explicit_engine.snapshot_views(expand=True)[0]
     assert set(dense_star) == set(dense_explicit)
     assert all(abs(dense_star[k] - dense_explicit[k]) <= 1e-9 for k in dense_star)
     star_median = statistics.median(star_times)

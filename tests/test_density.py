@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densestream import (ConfigError, DensityConfig, DensityFamily,
-                         StaticDensityClass, WeightedGraph, delta_it_upper)
+from densestream import (ConfigError, DensityConfig, DensityFamily, WeightedGraph,
+                         delta_it_upper)
 
 FAMILIES = list(DensityFamily)
 
@@ -58,14 +58,15 @@ def test_top_of_schedule_equals_output_threshold_exactly(family):
         assert cfg.threshold_for(n_max) == 1.3
 
 
-def test_schedule_returns_triple_and_validates_range():
+def test_schedule_values_and_range_check():
     cfg = DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15)
-    s, g, t = cfg.schedule(2)
-    assert (s, g, t) == (1.0, 0.5, pytest.approx(0.8))
+    assert cfg.density(2, 1.0) == 1.0  # S(2) = 1
+    assert cfg.family.norm(2) == 0.5
+    assert cfg.threshold_for(2) == pytest.approx(0.8)
     with pytest.raises(ValueError):
-        cfg.schedule(5)
+        cfg.threshold_for(5)
     with pytest.raises(ValueError):
-        cfg.schedule(1)
+        cfg.threshold_for(1)
 
 
 def test_normalized_thresholds_strictly_increase():
@@ -126,31 +127,36 @@ def test_threshold_spacing_reduces_to_delta_it(family):
 # -- classification -----------------------------------------------------------------
 
 def test_classify_walkthrough_thresholds(walkthrough_cfg):
-    status = walkthrough_cfg.classify(2, 0.95)
-    assert status.static_class is StaticDensityClass.DENSE
-    assert not status.output_dense
-    assert walkthrough_cfg.classify(3, 1.15).static_class is StaticDensityClass.SPARSE
+    # dense but neither output-dense nor able to absorb a free vertex
+    assert walkthrough_cfg.is_dense(2, 0.95)
+    assert not walkthrough_cfg.is_output_dense(2, 0.95)
+    assert walkthrough_cfg.free_extension_depth(2, 0.95) == 0
+    assert not walkthrough_cfg.is_dense(3, 1.15)
 
 
 def test_classify_saturated_set_absorbs_any_vertex():
     cfg = DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15)
-    status = cfg.classify(3, 30.0)
-    assert status.static_class is StaticDensityClass.TOO_DENSE
-    assert status.output_dense
+    assert cfg.is_dense(3, 30.0)
+    assert cfg.is_output_dense(3, 30.0)
     # 30 covers the full-cardinality bar T_4 * S_4 = 6 even without new weight
     assert cfg.free_extension_depth(3, 30.0) == 1  # capped by n_max
 
 
 def test_classify_never_too_dense_at_full_cardinality():
     cfg = DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15)
-    assert cfg.classify(4, 1000.0).static_class is StaticDensityClass.DENSE
+    assert cfg.is_dense(4, 1000.0)
+    assert cfg.free_extension_depth(4, 1000.0) == 0
 
 
 def test_classify_rejects_out_of_range_cardinality(walkthrough_cfg):
-    with pytest.raises(ValueError):
-        walkthrough_cfg.classify(1, 0.0)
-    with pytest.raises(ValueError):
-        walkthrough_cfg.classify(5, 10.0)
+    cfg = walkthrough_cfg
+    for card, score in ((1, 0.0), (5, 10.0)):
+        with pytest.raises(ValueError):
+            cfg.threshold_for(card)
+        with pytest.raises(ValueError):
+            cfg.density(card, score)
+        with pytest.raises(ValueError):
+            cfg.free_extension_depth(card, score)
 
 
 # -- exploration budget --------------------------------------------------------------

@@ -9,19 +9,19 @@ from densestream.index import STAR
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
-                            random_update)
+                            random_update, record_probes)
 
 
 # -- the five-vertex walkthrough -----------------------------------------------------
 
 def test_walkthrough_update_discovers_the_new_dense_family(walkthrough_cfg):
-    engine = build_walkthrough_engine(walkthrough_cfg, record_probes=True)
-    assert set(engine.snapshot_dense()) == WALKTHROUGH_PRE_DENSE
-    engine.probe_log.clear()
+    engine = build_walkthrough_engine(walkthrough_cfg)
+    assert set(engine.snapshot_views()[0]) == WALKTHROUGH_PRE_DENSE
+    probe_log = record_probes(engine)
 
     events = engine.process_update(1, 2, 0.15, 100)
 
-    gained = set(engine.snapshot_dense()) - WALKTHROUGH_PRE_DENSE
+    gained = set(engine.snapshot_views()[0]) - WALKTHROUGH_PRE_DENSE
     assert gained == {(1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 3, 4)}
     assert [(e.kind, e.vertices) for e in events] == [
         ("GAIN", (1, 2, 3)), ("GAIN", (1, 2, 3, 4))]
@@ -29,9 +29,9 @@ def test_walkthrough_update_discovers_the_new_dense_family(walkthrough_cfg):
     assert events[1].density == pytest.approx(6.014 / 6)
     # the weak extension through vertex 5 was probed and turned away
     assert ((1, 2, 5), pytest.approx(1.15), False) in [
-        (vs, s, ok) for vs, s, ok in engine.probe_log]
+        (vs, s, ok) for vs, s, ok in probe_log]
     # round budget of 1: the new triples were never grown a second time
-    probed = {vs for vs, _, _ in engine.probe_log}
+    probed = {vs for vs, _, _ in probe_log}
     assert (1, 2, 3, 5) not in probed and (1, 2, 4, 5) not in probed
 
 
@@ -41,9 +41,9 @@ def test_walkthrough_negation_restores_the_previous_answer(walkthrough_cfg):
     events = engine.process_update(1, 2, -0.15, 101)
     assert [(e.kind, e.vertices) for e in events] == [
         ("LOSE", (1, 2, 3)), ("LOSE", (1, 2, 3, 4))]
-    assert set(engine.snapshot_dense()) == WALKTHROUGH_PRE_DENSE
+    assert set(engine.snapshot_views()[0]) == WALKTHROUGH_PRE_DENSE
     truth = brute_force_dense(engine.graph, walkthrough_cfg, strategy="both")
-    assert diff(engine.snapshot_dense(), truth.dense) == []
+    assert diff(engine.snapshot_views()[0], truth.dense) == []
 
 
 def test_duplicate_discovery_of_the_four_set_changes_nothing(walkthrough_cfg):
@@ -59,19 +59,19 @@ def test_duplicate_discovery_of_the_four_set_changes_nothing(walkthrough_cfg):
 def test_cheap_extension_below_bar_inserts_nothing(walkthrough_cfg):
     engine = build_walkthrough_engine(walkthrough_cfg)
     engine.process_update(3, 5, 0.3, 50)  # {3,5} stays sparse: 0.4 < 0.9
-    assert (3, 5) not in engine.snapshot_dense()
+    assert (3, 5) not in engine.snapshot_views()[0]
 
 
 def test_second_lift_never_reprobes_sets_indexed_before_it(walkthrough_cfg):
     # (1,2,3), (1,2,4) and (1,2,3,4) hold both endpoints and were indexed by
     # the first lift: the second re-scores them and never probes them again
-    engine = build_walkthrough_engine(walkthrough_cfg, record_probes=True)
+    engine = build_walkthrough_engine(walkthrough_cfg)
     engine.process_update(1, 2, 0.15, 100)
-    engine.probe_log.clear()
+    probe_log = record_probes(engine)
     probes = engine.stats.probes
     events = engine.process_update(1, 2, 0.01, 101)
     assert [(e.kind, e.vertices) for e in events] == [("GAIN", (1, 2, 4))]
-    assert [(vs, ok) for vs, _, ok in engine.probe_log] == [
+    assert [(vs, ok) for vs, _, ok in probe_log] == [
         ((1, 2, 5), False), ((1, 2, 3, 5), False), ((1, 2, 4, 5), False)]
     assert engine.stats.probes - probes == 3
 
@@ -92,7 +92,7 @@ def test_set_admitted_this_update_grows_again_from_a_lower_round():
     assert [(e.kind, e.vertices) for e in events] == [
         ("GAIN", (1, 2, 3, 5)), ("GAIN", (1, 2, 3, 4, 5))]
     truth = brute_force_dense(g, cfg, strategy="both")
-    assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
+    assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
 
 
 def test_zero_magnitude_update_is_a_no_op(walkthrough_cfg):
@@ -105,7 +105,7 @@ def test_zero_magnitude_update_is_a_no_op(walkthrough_cfg):
 def test_isolated_pair_below_pair_threshold_emits_nothing(walkthrough_cfg):
     engine = DenseSubgraphEngine(walkthrough_cfg)
     assert engine.process_update(8, 9, 0.5, 1) == []
-    assert engine.snapshot_dense() == {}
+    assert engine.snapshot_views()[0] == {}
 
 
 def test_crossing_the_output_bar_without_insertion_reports_gain(walkthrough_cfg):
@@ -133,12 +133,12 @@ def test_saturated_pair_grows_a_star_chain():
     chains = {engine.index.vertices_of(n): d for n, d in engine.index.star_parents()}
     assert chains[(1, 3)] == 2  # 9.0 clears the 3- and 4-vertex bars
     truth = brute_force_dense(g, cfg, strategy="both")
-    assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
+    assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
 
 
 def _implied_only(engine) -> list[tuple[int, ...]]:
     """Sets in the expanded dense view that no index entry stores."""
-    return sorted(set(engine.snapshot_dense(expand=True)) - set(engine.state_signature()))
+    return sorted(set(engine.snapshot_views(expand=True)[0]) - set(engine.state_signature()))
 
 
 def test_implicit_sets_of_a_star_node():
@@ -177,7 +177,7 @@ def test_star_removed_when_weight_drops_back():
     assert not engine.has_too_dense()
     # the explicit neighbor extension survives eviction checks independently
     truth = brute_force_dense(g, cfg, strategy="both")
-    assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
+    assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
 
 
 def test_saturated_before_the_update_is_not_grown_again():
@@ -203,7 +203,7 @@ def test_star_and_explicit_modes_agree_on_a_planted_triangle():
         for a, b in ((1, 2), (1, 3), (2, 3)):
             seq += 1
             engine.process_update(a, b, 10.0, seq)
-        views[star] = engine.snapshot_dense(expand=True)
+        views[star] = engine.snapshot_views(expand=True)[0]
         sizes[star] = len(engine.index)
     assert views[True] == pytest.approx(views[False])
     assert sizes[False] > sizes[True]  # one star chain replaces many entries
@@ -217,7 +217,7 @@ def test_expanded_view_filters_output_density():
     g.ensure_universe(6)
     engine = DenseSubgraphEngine(cfg, g)
     engine.process_update(1, 2, 2.5, 1)
-    dense = engine.snapshot_dense(expand=True)
+    dense = engine.snapshot_views(expand=True)[0]
     out = engine.snapshot_output_dense(expand=True)
     assert (1, 2, 3) in dense and dense[(1, 2, 3)] == pytest.approx(2.5 / 3)
     assert (1, 2, 3) not in out
@@ -246,7 +246,7 @@ def test_engine_matches_oracle_on_random_streams():
             a, b, delta = random_update(rng, g, 8, magnitude=0.7)
             engine.process_update(a, b, delta, seq)
             truth = brute_force_dense(g, cfg, strategy="levelwise")
-            assert diff(engine.snapshot_dense(expand=True), truth.dense) == []
+            assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
             assert diff(engine.snapshot_output_dense(expand=True),
                         truth.output_dense) == []
 
@@ -264,8 +264,8 @@ def test_star_and_explicit_modes_agree_on_random_streams():
             explicit.process_update(a, b, delta, seq)
             star.index.audit()
             explicit.index.audit()
-            vs = star.snapshot_dense(expand=True)
-            ve = explicit.snapshot_dense(expand=True)
+            vs = star.snapshot_views(expand=True)[0]
+            ve = explicit.snapshot_views(expand=True)[0]
             assert set(vs) == set(ve)
             assert all(abs(vs[k] - ve[k]) <= 1e-9 for k in vs)
 
@@ -361,14 +361,6 @@ def test_event_stream_replays_into_the_reported_set():
                     assert ev.vertices in held
                     held.remove(ev.vertices)
             assert held == set(engine.snapshot_output_dense(expand=False))
-
-
-def test_events_arrive_through_the_sink_in_order():
-    sunk = []
-    cfg = derived_cfg()
-    engine = DenseSubgraphEngine(cfg, event_sink=sunk.append)
-    events = engine.process_update(1, 2, 5.0, 1)
-    assert sunk == events and len(sunk) >= 1
 
 
 def test_index_stays_structurally_sound_under_random_streams():

@@ -28,7 +28,7 @@ def test_exact_cancellation_removes_edge():
     assert (before, after) == (0.95, 0.0)
     assert g.weight(1, 2) == 0.0
     assert 2 not in g.neighbors(1)
-    assert g.is_empty()
+    assert list(g.edges()) == []
 
 
 def test_self_loop_rejected():
@@ -148,5 +148,4 @@ def test_stream_followed_by_negation_empties_graph():
         stream.append((a, b, delta))
     for a, b, delta in reversed(stream):
         g.apply_update(a, b, -delta)
-    assert g.is_empty()
-    assert g.edge_count() == 0
+    assert list(g.edges()) == []

@@ -350,6 +350,35 @@ def test_update_stream_is_pinned_on_a_story_stream(measure):
     assert h.hexdigest() == STORY_STREAM_SHA256[measure]
 
 
+@pytest.mark.parametrize("measure", ["llr", "chi2"])
+def test_measure_given_by_its_value_weighs_as_the_enum(measure):
+    by_value = DocumentIngestor(measure)
+    by_enum = DocumentIngestor(AssociationMeasure(measure))
+    assert by_value.measure is AssociationMeasure(measure)
+    emitted = 0
+    for t, ents in _story_stream(count=600):
+        updates = by_value.process_document(t, ents)
+        assert updates == by_enum.process_document(t, ents)
+        emitted += len(updates)
+    assert emitted > 0
+
+
+def test_association_weight_takes_the_measure_by_value():
+    # L's support of 4 closes the pair under llr; chi2 would weigh it
+    c = _counts_with(pair_docs=4, left_only=0, right_only=5, others=200)
+    assert association_weight(c, "llr", "L", "R", 0.0) == 0.0
+    chi2 = association_weight(c, AssociationMeasure.CHI2_CORRELATION, "L", "R", 0.0)
+    assert chi2 > 0.0
+    assert association_weight(c, "chi2", "L", "R", 0.0) == chi2
+
+
+def test_unknown_measure_is_rejected():
+    with pytest.raises(IngestError, match="unknown association measure 'nonsense'"):
+        DocumentIngestor("nonsense")
+    with pytest.raises(IngestError, match="unknown association measure"):
+        association_weight(DecayedCounts(), "nonsense", "a", "b", 0.0)
+
+
 def test_work_counters_add_up_per_post():
     ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED)
     for _ in range(20):
