@@ -194,7 +194,10 @@ def cmd_ingest(args) -> int:
                 count += 1
     if args.dictionary:
         dictionary.save(args.dictionary)
-    print(f"updates={count} entities={len(dictionary)}", file=sys.stderr)
+    print(f"updates={count} entities={len(dictionary)}"
+          f" pairs_visited={ingestor.pairs_reweighed} pairs_tabled={ingestor.pairs_tabled}"
+          f" live_cells={ingestor.counts.live_cells} hot={ingestor.hot_entities}",
+          file=sys.stderr)
     return 0
 
 

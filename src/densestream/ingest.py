@@ -22,10 +22,32 @@ the partner's decayed count, and only then are the co-occurrence decayed
 and the table built.  The stored-count gate is exact because decay never
 raises a count: c * exp(-dt/tau) <= c holds also in floating point, for
 dt >= 0 and a finite tau > 0, which is why the mean life must be finite.
+
+Under llr a post visits only the partners whose weight can move.  A pair
+weighs 0 while either support is below 5, so a pair whose last emitted
+weight is 0 stays silent unless both counts are at least 5 now.  The
+ingestor therefore keeps two structures: the partners each entity has a
+nonzero weight with, and a hot set that holds every entity whose decayed
+count may still be at least 5, keyed on the time t_last + tau*ln(k/5) at
+which its count k, stored at t_last, falls below 5.  A post entity below 5
+visits only its weighted partners; any other visits its hot partners and
+its weighted ones, in sorted order.  A skipped pair would have weighed 0
+and emitted nothing, and the visited pairs keep their order, so the
+emitted stream is the one of visiting every partner.
+
+The expiry is rounded late, by a margin relative to the mean life and to
+the clock.  ``exp`` and ``log`` round, so the decayed count can still read
+5 just after the exact crossing: a count of exactly 5 crosses at t_last
+itself, yet reads 5.0 a few ulps of t later.  The hot set is therefore a
+superset, and the exact gates above still decide every visited pair, so
+the output does not depend on how late the expiry is.  Entities leave the
+set lazily through a min-heap holding one entry per hot entity; an entry
+whose entity was touched since it was keyed is re-keyed, not duplicated.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from enum import Enum
@@ -40,6 +62,7 @@ LLR_MIN_SUPPORT = 5.0          # documents per entity before an edge may form
 LLR_CRITICAL = 6.635           # chi-square(1df) upper tail at p = 0.01
 CHI2_CRITICAL = 3.841          # chi-square(1df) upper tail at p = 0.05
 TIME_SLACK = 1e-6              # tolerated timestamp regression
+EXPIRY_MARGIN = 1e-9           # lateness of a hot entity's expiry, relative
 
 
 class IngestError(ValueError):
@@ -241,9 +264,12 @@ class DocumentIngestor:
 
     After each document only the pairs incident to its entities are
     recomputed; an update is emitted when a recomputed weight moved by more
-    than the comparison tolerance.  Plain counters report the work done so
-    far: pairs re-weighed, pairs whose contingency table was built, and
-    updates emitted; ``counts.live_cells`` gauges the state held.
+    than the comparison tolerance.  Under llr a post visits only the
+    partners whose weight can move (see the module docstring).  Plain
+    counters report the work done so far: pairs visited
+    (``pairs_reweighed``), pairs whose contingency table was built, and
+    updates emitted; ``counts.live_cells`` and ``hot_entities`` gauge the
+    state held.
     """
 
     def __init__(self, measure: AssociationMeasure | str = AssociationMeasure.CHI2_CORRELATION,
@@ -253,23 +279,55 @@ class DocumentIngestor:
         self.counts = DecayedCounts(mean_life)
         self.dictionary = dictionary if dictionary is not None else EntityDictionary()
         self._weights: dict[tuple[str, str], float] = {}  # last emitted weight
+        self._weighted: dict[str, set[str]] = {}  # partners of nonzero weight
+        self._hot: dict[str, float] = {}          # entity -> time it may fall below 5
+        self._expiry: list[tuple[float, str]] = []  # min-heap, one entry per hot entity
         self._seq = 0
         self.pairs_reweighed = 0
         self.pairs_tabled = 0
         self.updates_emitted = 0
 
+    @property
+    def hot_entities(self) -> int:
+        """Entities whose decayed count may be at least the llr support bar."""
+        return len(self._hot)
+
+    def _heat(self, t: float, ents: list[str]) -> None:
+        """Key each post entity with a count of at least 5 on the time it may
+        fall below 5, rounded late, then drop the entities expired before t."""
+        counts, hot, heap = self.counts, self._hot, self._expiry
+        tau = counts.mean_life
+        for e in ents:
+            k = counts.stored_occurrence(e)  # just touched: the count at t
+            if k >= LLR_MIN_SUPPORT:
+                expiry = (t + tau * (math.log(k / LLR_MIN_SUPPORT) + EXPIRY_MARGIN)
+                          + EXPIRY_MARGIN * abs(t))
+                if e not in hot:
+                    heapq.heappush(heap, (expiry, e))
+                hot[e] = expiry
+        while heap and heap[0][0] < t:
+            e = heap[0][1]
+            expiry = hot[e]
+            if expiry < t:
+                heapq.heappop(heap)
+                del hot[e]
+            else:  # touched since it was keyed
+                heapq.heapreplace(heap, (expiry, e))
+
     def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
-        """Count a document, then re-weigh every pair incident to its entities.
+        """Count a document, then re-weigh the pairs incident to its entities.
 
         Emits one update per pair whose weight moved by more than the
         tolerance, with consecutive sequence numbers.  A rejected document
         changes nothing.
 
-        Under llr a partner x of a document entity e weighs 0, with no
-        ``exp``, when e's support or x's stored count is below the bar: the
-        stored count bounds the decayed one from above (see the module
-        docstring).  Otherwise x's count is decayed once and gated again,
-        and only then is the co-occurrence decayed and the table built.
+        Under llr a post entity e visits its weighted partners and, when its
+        own support is at least 5, its hot partners, in sorted order.  A
+        visited partner x weighs 0, with no ``exp``, when e's support or x's
+        stored count is below the bar: the stored count bounds the decayed
+        one from above (see the module docstring).  Otherwise x's count is
+        decayed once and gated again, and only then is the co-occurrence
+        decayed and the table built.  chi2 visits every partner.
         """
         counts = self.counts
         ents = sorted(set(entities))
@@ -280,14 +338,25 @@ class DocumentIngestor:
         n = counts.total(t)
         measure = self.measure
         gated = measure is AssociationMeasure.LLR_THRESHOLDED
+        if gated:
+            self._heat(t, ents)
+        hot = self._hot.keys()
         weights = self._weights
+        weighted = self._weighted
         updates: list[EdgeUpdate] = []
         recomputed: set[tuple[str, str]] = set()
         tabled = 0
         for e in ents:
             k_e = counts.occurrence(e, t)
             closed = gated and k_e < LLR_MIN_SUPPORT
-            for x in sorted(counts.partners(e)):
+            if not gated:
+                visit = counts.partners(e)
+            elif closed:
+                visit = weighted.get(e, ())
+            else:
+                visit = counts.partners(e) & hot  # iterates the smaller side
+                visit.update(weighted.get(e, ()))
+            for x in sorted(visit):
                 key = (e, x) if e <= x else (x, e)
                 if key in recomputed:
                     continue
@@ -312,8 +381,13 @@ class DocumentIngestor:
                         new_w - old_w,
                     ))
                     if new_w == 0.0:
-                        weights.pop(key, None)
+                        del weights[key]
+                        weighted[e].discard(x)
+                        weighted[x].discard(e)
                     else:
+                        if old_w == 0.0:
+                            weighted.setdefault(e, set()).add(x)
+                            weighted.setdefault(x, set()).add(e)
                         weights[key] = new_w
         self.pairs_reweighed += len(recomputed)
         self.pairs_tabled += tabled

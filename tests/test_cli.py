@@ -4,6 +4,7 @@ import pytest
 
 from densestream.cli import main
 from densestream.engine import DensityEvent
+from densestream.ingest import AssociationMeasure, DocumentIngestor
 from densestream.streams import (StreamFormatError, format_event, parse_update_line,
                                  read_updates, write_updates)
 from tests.conftest import WALKTHROUGH_EDGES
@@ -134,6 +135,26 @@ def test_ingest_writes_updates_and_dictionary(tmp_path, capsys):
     assert body, "strongly associated pair should have produced an edge"
     assert body[0].split()[1:3] == ["1", "2"]
     assert (tmp_path / "d.json").exists()
+
+
+def test_ingest_reports_its_work_counters(tmp_path, capsys):
+    # c and d appear only early on; with a 30 s mean life they fall below 5
+    docs = [(float(i), ["a", "b"] if i % 2 else ["a", "c", "d"]) for i in range(14)]
+    docs += [(14.0 + 5 * i, ["a", "b"]) for i in range(30)]
+    path = tmp_path / "docs.txt"
+    path.write_text("".join(f"{t}\t{','.join(ents)}\n" for t, ents in docs), encoding="utf-8")
+    rc = main(["ingest", "--documents", str(path), "--out", str(tmp_path / "u.txt"),
+               "--measure", "llr", "--mean-life-secs", "30"])
+    assert rc == 0
+    report = dict(field.split("=") for field in capsys.readouterr().err.split())
+    ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, 30.0)
+    updates = sum(len(ing.process_document(t, ents)) for t, ents in docs)
+    assert report == {"updates": str(updates), "entities": "4",
+                      "pairs_visited": str(ing.pairs_reweighed),
+                      "pairs_tabled": str(ing.pairs_tabled),
+                      "live_cells": "4", "hot": str(ing.hot_entities)}
+    assert 0 < ing.pairs_tabled <= ing.pairs_reweighed
+    assert ing.hot_entities == 2  # a and b
 
 
 # -- rejected input ends with one error line -----------------------------------------

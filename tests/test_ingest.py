@@ -253,7 +253,9 @@ class PerPairIngestor(DocumentIngestor):
     """Reference: every incident pair weighed from scratch by association_weight.
 
     It counts a pair as tabled when the llr support gate would let it
-    through at t, which every pair does under chi2."""
+    through at t, which every pair does under chi2.  Under llr it counts a
+    pair as visited when it is tabled, or when its weight was nonzero
+    before the post; under chi2 every pair is visited."""
 
     def process_document(self, t, entities):
         ents = sorted(set(entities))
@@ -270,11 +272,12 @@ class PerPairIngestor(DocumentIngestor):
                     continue
                 recomputed.add(key)
                 new_w = association_weight(self.counts, self.measure, key[0], key[1], t)
-                self.pairs_reweighed += 1
-                self.pairs_tabled += (self.measure is AssociationMeasure.CHI2_CORRELATION
-                                      or min(self.counts.occurrence(key[0], t),
-                                             self.counts.occurrence(key[1], t)) >= 5)
                 old_w = self._weights.get(key, 0.0)
+                tabled = (self.measure is AssociationMeasure.CHI2_CORRELATION
+                          or min(self.counts.occurrence(key[0], t),
+                                 self.counts.occurrence(key[1], t)) >= 5)
+                self.pairs_reweighed += tabled or old_w != 0.0
+                self.pairs_tabled += tabled
                 if abs(new_w - old_w) > EPS:
                     self._seq += 1
                     updates.append(EdgeUpdate(self._seq, self.dictionary.id_for(key[0]),
@@ -315,6 +318,62 @@ def test_per_post_loop_emits_what_the_per_pair_loop_emits(measure, mean_life):
         assert work == (ref.pairs_reweighed, ref.pairs_tabled, ref.updates_emitted)
         emitted += ing.updates_emitted
     assert emitted > 0
+
+
+def _boundary_posts(mean_life, stored, offset):
+    """x's count is `stored` at its last post, t_last; e has 4 co-occurrences
+    with x, then posts alone four times at t_last + tau*ln(stored/5) + offset,
+    which takes its support past 5.  x is never touched again, so only the
+    hot set can bring e-x to a visit, at the instant x's count falls to 5."""
+    docs = [(0.0, [])] * 2000 + [(0.0, ["e", "x"])] * 4
+    if stored == 10.0:
+        docs += [(0.0, ["x"])] * 6
+        t_last = 0.0
+    else:  # 5 at t=0, decayed until one more post lands on `stored`
+        docs += [(0.0, ["x"])]
+        t_last = -mean_life * math.log((stored - 1.0) / 5.0)
+        docs += [(t_last, ["x"])]
+    boundary = t_last + mean_life * math.log(stored / 5.0)
+    return docs + [(boundary + offset(boundary, mean_life), ["e"])] * 4
+
+
+@pytest.mark.parametrize("offset", [
+    lambda b, tau: 0.0,
+    lambda b, tau: math.nextafter(b, math.inf) - b,
+    lambda b, tau: tau * 1e-12,
+], ids=["at", "next-float", "tau-1e-12"])
+@pytest.mark.parametrize("stored", [10.0, 5.000001, 5.0])
+@pytest.mark.parametrize("mean_life", [30.0, 7200.0, 1e6])
+def test_hot_set_expiry_boundary_emits_what_the_per_pair_loop_emits(mean_life, stored, offset):
+    ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, mean_life)
+    ref = PerPairIngestor(AssociationMeasure.LLR_THRESHOLDED, mean_life)
+    for t, ents in _boundary_posts(mean_life, stored, offset):
+        assert ing.process_document(t, ents) == ref.process_document(t, ents)
+    # where x's count still reads 5 (stored 10 at the boundary, or a stored 5),
+    # e-x opens; a hot set expired on time would have missed it
+    assert ref.counts.stored_occurrence("x") == pytest.approx(stored, abs=1e-12)
+    opened = ref.counts.occurrence("x", ref.counts.clock) >= 5
+    assert ing.updates_emitted == ref.updates_emitted == opened
+
+
+@pytest.mark.parametrize("mean_life", [300.0, 7200.0])
+def test_hot_set_and_weighted_partners_hold_their_invariants(mean_life):
+    ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, mean_life)
+    counts, hot = ing.counts, ing._hot
+    left = 0
+    for t, ents in _story_stream(count=3000):
+        before = set(hot)
+        ing.process_document(t, ents)
+        t = counts.clock
+        left += len(before - hot.keys())
+        tokens = [ing.dictionary.token_for(i) for i in range(1, len(ing.dictionary) + 1)]
+        assert {x for x in tokens if counts.occurrence(x, t) >= 5} <= hot.keys()
+        assert all(counts.stored_occurrence(x) >= 5 for x in hot)
+        assert sorted(e for _, e in ing._expiry) == sorted(hot)
+        assert {(a, b) for a, bs in ing._weighted.items() for b in bs} == (
+            ing._weights.keys() | {(b, a) for a, b in ing._weights})
+    assert ing.updates_emitted > 0
+    assert left > 0  # entities did expire from the hot set
 
 
 STORY_STREAM_SHA256 = {  # format_update lines, computed with the per-pair loop
@@ -387,7 +446,10 @@ def test_work_counters_add_up_per_post():
         ing.process_document(0.0, ["a", "b"])       # a-b opens on the fifth
     ing.process_document(0.0, ["c"])
     assert ing.process_document(0.0, ["a", "c"]) == []
-    assert ing.pairs_reweighed == 6 + 2
+    # a-b is visited from its fifth post on, when both supports reach 5: twice.
+    # The last post visits a-b (b is hot) but not a-c: c's support of 2 keeps
+    # it out of the hot set, and a-c never had a weight.
+    assert ing.pairs_reweighed == 2 + 1
     assert ing.pairs_tabled == 2 + 1                  # c's support of 2 closes a-c
     assert ing.updates_emitted == 1
     assert ing.counts.live_cells == 2
