@@ -147,9 +147,11 @@ class DensityConfig:
         return score / self._sizes[card]
 
     def is_dense(self, card: int, score: float) -> bool:
+        self._check_card(card)
         return score / self._sizes[card] >= self._thresholds[card] - EPS
 
     def is_output_dense(self, card: int, score: float) -> bool:
+        self._check_card(card)
         return score / self._sizes[card] >= self.threshold - EPS
 
     def free_extension_depth(self, card: int, score: float) -> int:

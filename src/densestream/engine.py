@@ -7,10 +7,10 @@ the engine re-scores those sets and then searches outward for sets that
 newly crossed their threshold: the updated pair itself, indexed sets holding
 one endpoint augmented with the other (the cheap step), and
 neighbor-by-neighbor growth around sets holding both, bounded by
-ceil(delta / delta_it) rounds.  Re-exploration is suppressed with per-update
-epoch and iteration annotations on the index entries, and a set indexed
+ceil(delta / delta_it) rounds.  Re-exploration is suppressed by the round at
+which each set admitted during the update was found, and a set indexed
 before the update that holds both endpoints is never probed: the update
-re-scores it and grows from it, and its annotations predate the update, so a
+re-scores it and grows from it, and it has no round in this update, so a
 probe could only count itself.  This rests on the index, not on pre-update
 scores, so it is exact with star cores too.
 
@@ -83,7 +83,7 @@ class DenseSubgraphEngine:
         self.star_mode = star_mode
         self.iteration_cap = iteration_cap  # overrides the derived round budget
         self.stats = EngineStats()
-        self._epoch = 0
+        self._round: dict[_Node, int] = {}  # sets admitted this update -> round
         self._events: list[DensityEvent] = []
         self._dirty: set = set()  # star cores pending expansion (explicit mode)
         # per-update context
@@ -112,7 +112,7 @@ class DenseSubgraphEngine:
         self.stats.updates += 1
         self._events = []
         if delta != 0.0:
-            self._epoch += 1
+            self._round = {}
             self._seq = seq
             self._lo, self._hi = (a, b) if a < b else (b, a)
             self._delta = delta
@@ -143,19 +143,18 @@ class DenseSubgraphEngine:
         output: dict[tuple[int, ...], float] = {}
         cores: dict[int, tuple[int, ...]] = {}  # id(star core) -> its set
         for vs, node in self.index.items():
-            m = node.meta
-            d = m.score / sizes[m.card]
+            d = node.score / sizes[len(vs)]
             dense[vs] = d
             if d >= bar:
                 output[vs] = d
-            if m.star_depth:
+            if node.star_depth:
                 cores[id(node)] = vs
         if expand and self.star_mode:
             for parent, depth in self.index.star_parents():
-                m = parent.meta
+                score = parent.score
                 for evs in self._implied_sets(cores[id(parent)], depth):
                     if evs not in dense:
-                        d = m.score / sizes[len(evs)]
+                        d = score / sizes[len(evs)]
                         dense[evs] = d
                         if d >= bar:
                             output[evs] = d
@@ -169,7 +168,7 @@ class DenseSubgraphEngine:
 
     def state_signature(self) -> dict[tuple[int, ...], tuple[float, int]]:
         """Materialized sets with (score, star depth); for state comparisons."""
-        return {vs: (node.meta.score, node.meta.star_depth)
+        return {vs: (node.score, node.star_depth)
                 for vs, node in self.index.items()}
 
     # -- implied-set enumeration ------------------------------------------------------
@@ -222,13 +221,13 @@ class DenseSubgraphEngine:
         cfg = self.cfg
         victims = list(self.index.iterate_containing_both(a, b))
         for vs, node in victims:
-            m = node.meta
-            s_new = m.score + self._delta
-            if cfg.is_dense(m.card, s_new):
+            card = len(vs)
+            s_new = node.score + self._delta
+            if cfg.is_dense(card, s_new):
                 self._rescore(node, vs)
                 continue
-            if cfg.is_output_dense(m.card, m.score):
-                self._emit(LOSE, vs, cfg.density(m.card, s_new))
+            if cfg.is_output_dense(card, node.score):
+                self._emit(LOSE, vs, cfg.density(card, s_new))
             self._dirty.discard(node)
             self.index.remove(node)
 
@@ -256,10 +255,11 @@ class DenseSubgraphEngine:
             if other is None:
                 self._rescore(node, vs)
 
-        # The updated pair itself may now be worth indexing.
+        # The updated pair itself may now be worth indexing.  Nothing has been
+        # admitted yet, and an indexed pair holds both endpoints, so the pair
+        # is indexed exactly when it is in ``known``.
         pair = (a, b)
-        pnode = idx.find(pair)
-        if pnode is None or pnode.meta is None:
+        if pair not in known:
             self._probe(pair, self._w_after, 0)
 
         # Outward search, in traversal order.
@@ -283,16 +283,15 @@ class DenseSubgraphEngine:
         Extensions in ``_known`` (indexed before the update) are not probed.
         """
         cfg = self.cfg
-        m = node.meta
-        card = m.card
+        card = len(vs)
         if card >= cfg.n_max:
             return
-        if cfg.is_dense(card + 1, m.score - self._delta):
+        score = node.score
+        if cfg.is_dense(card + 1, score - self._delta):
             return  # could absorb any vertex before the update: supersets known
         if i > self._budget:
             return
         self.stats.explore_calls += 1
-        score = m.score
         idx = self.index
         known = self._known
         gamma = self.graph.merged_neighborhood(vs)
@@ -329,20 +328,20 @@ class DenseSubgraphEngine:
     def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
         """Augment a one-endpoint set with the other, unless ``_known`` holds it."""
         cfg = self.cfg
-        m = node.meta
-        if m.card + 1 > cfg.n_max:
+        card = len(vs)
+        if card + 1 > cfg.n_max:
             return
-        if cfg.is_dense(m.card + 1, m.score):
+        if cfg.is_dense(card + 1, node.score):
             return  # was too dense before: its supersets were already known
         self.stats.cheap_explores += 1
         evs = _with(vs, other)
         if evs in self._known:
             return
         target = self.index.extend_lookup(node, other)
-        if target is not None and target.meta is not None:
+        if target is not None and target.score is not None:
             self._probe(evs, 0.0, 1, node=target)  # score unused: already indexed
         else:
-            self._probe(evs, m.score + self._coordinate(vs, other), 1, node=target)
+            self._probe(evs, node.score + self._coordinate(vs, other), 1, node=target)
 
     def _star_scan(self, node: _Node, vs: tuple[int, ...]) -> None:
         """Reconcile one star core with the update.
@@ -357,27 +356,26 @@ class DenseSubgraphEngine:
         one (deeper coverage means those supersets were dense already).
         """
         cfg = self.cfg
-        m = node.meta
+        card, score = len(vs), node.score
         self.stats.star_scans += 1
         a, b = self._lo, self._hi
         ina, inb = a in vs, b in vs
         if ina and inb:
-            if m.card + 2 > cfg.n_max:
+            if card + 2 > cfg.n_max:
                 return
-            pre = m.score - self._delta
-            if cfg.free_extension_depth(m.card, pre) != 1:
+            if cfg.free_extension_depth(card, score - self._delta) != 1:
                 return
-            self._probe_edge_pairs(vs, m.score, self.graph.merged_neighborhood(vs), 1)
+            self._probe_edge_pairs(vs, score, self.graph.merged_neighborhood(vs), 1)
         elif ina or inb:
             other = b if ina else a
             if self._coordinate(vs, other) == self._delta:
                 # the update created other's first link to this core
-                self._probe(_with(vs, other), m.score + self._delta, 1)
+                self._probe(_with(vs, other), score + self._delta, 1)
         else:
-            if m.card + 2 > cfg.n_max:
+            if card + 2 > cfg.n_max:
                 return
             if self._coordinate(vs, a) == 0.0 and self._coordinate(vs, b) == 0.0:
-                s = m.score + self.graph.weight(a, b)
+                s = score + self.graph.weight(a, b)
                 self._probe(_with(_with(vs, a), b), s, 1)
 
     # -- candidate admission -----------------------------------------------------------------
@@ -392,13 +390,11 @@ class DenseSubgraphEngine:
         self.stats.probes += 1
         if node is False:
             node = self.index.find(vs)
-        if node is not None and node.meta is not None:
-            m = node.meta
-            t = m.iteration_tag(self._epoch)
+        if node is not None and node.score is not None:
+            t = self._round.get(node)
             if t is not None and t > i:
                 # reachable in fewer rounds than first thought: explore deeper
-                m.tag = i
-                m.tag_epoch = self._epoch
+                self._round[node] = i
                 self._explore(node, vs, i + 1)
             return
         if self.cfg.is_dense(len(vs), score):
@@ -412,7 +408,8 @@ class DenseSubgraphEngine:
         # Dense before the update but never materialized (it was covered by a
         # star marker): treat like any other stored stable set from here on.
         stable = cfg.is_dense(card, score - self._delta)
-        node = self.index.insert(vs, score, self._epoch, 0 if stable else i)
+        node = self.index.insert(vs, score)
+        self._round[node] = 0 if stable else i
         if cfg.is_output_dense(card, score):
             self._emit(GAIN, vs, cfg.density(card, score))
         self._maintain_closure(node, vs)
@@ -423,17 +420,17 @@ class DenseSubgraphEngine:
     def _rescore(self, node: _Node, vs: tuple[int, ...]) -> None:
         """Shift a kept set's score by the update, report a crossing of the
         output bar, and refresh its star depth."""
-        cfg, m = self.cfg, node.meta
-        was_out = cfg.is_output_dense(m.card, m.score)
-        m.score += self._delta
-        if cfg.is_output_dense(m.card, m.score) != was_out:
-            self._emit(LOSE if was_out else GAIN, vs, cfg.density(m.card, m.score))
+        cfg, card = self.cfg, len(vs)
+        was_out = cfg.is_output_dense(card, node.score)
+        node.score += self._delta
+        if cfg.is_output_dense(card, node.score) != was_out:
+            self._emit(LOSE if was_out else GAIN, vs, cfg.density(card, node.score))
         self._maintain_closure(node, vs)
 
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
-        depth = self.cfg.free_extension_depth(node.meta.card, node.meta.score)
-        if depth != node.meta.star_depth:
-            grew = depth > node.meta.star_depth
+        depth = self.cfg.free_extension_depth(len(vs), node.score)
+        if depth != node.star_depth:
+            grew = depth > node.star_depth
             self.index.set_star_depth(node, depth)
             if grew and not self.star_mode:
                 self._dirty.add(node)
@@ -445,15 +442,15 @@ class DenseSubgraphEngine:
             batch = sorted(self._dirty, key=self.index.vertices_of)
             self._dirty.clear()
             for node in batch:
-                m = node.meta
-                if m is None or m.star_depth == 0:
+                score = node.score
+                if score is None or node.star_depth == 0:
                     continue
                 vs = self.index.vertices_of(node)
-                for evs in self._implied_sets(vs, m.star_depth):
+                for evs in self._implied_sets(vs, node.star_depth):
                     enode = self.index.find(evs)
-                    if enode is not None and enode.meta is not None:
+                    if enode is not None and enode.score is not None:
                         continue
-                    newn = self.index.insert(evs, m.score, self._epoch, None)
-                    if cfg.is_output_dense(len(evs), m.score):
-                        self._emit(GAIN, evs, cfg.density(len(evs), m.score))
+                    newn = self.index.insert(evs, score)
+                    if cfg.is_output_dense(len(evs), score):
+                        self._emit(GAIN, evs, cfg.density(len(evs), score))
                     self._maintain_closure(newn, evs)

@@ -9,9 +9,9 @@ work.
 
 An entry whose score lets it absorb free vertices carries one child
 labeled with the fictitious vertex ``*`` (sorting above every real vertex),
-a marker standing for all supersets built by adding up to
-``meta.star_depth`` vertices that contribute no weight.  Those supersets
-share the entry's score and are never materialized.
+a marker standing for all supersets built by adding up to ``star_depth``
+vertices that contribute no weight.  Those supersets share the entry's
+score and are never materialized.
 
 Not safe for concurrent mutation; the engine owns it on one update thread.
 """
@@ -27,39 +27,21 @@ class IndexError_(ValueError):
     pass
 
 
-class SubgraphMeta:
-    """Per-entry payload: running score plus update-scoped bookkeeping.
+class _Node:
+    """One tree node; an indexed set exactly when ``score`` is not None.
 
-    ``tag``/``tag_epoch`` record the exploration iteration that discovered
-    the entry during the update ``tag_epoch``; stale epochs mean the entry is
-    pre-existing as far as the current update is concerned.  ``star_depth``
-    is how many free vertices the entry can absorb; it is nonzero exactly
-    when the node carries a ``*`` marker child.
+    ``star_depth`` is how many free vertices the entry can absorb; it is
+    nonzero exactly when the node carries a ``*`` marker child.
     """
 
-    __slots__ = ("score", "card", "tag", "tag_epoch", "star_depth")
-
-    def __init__(self, score: float, card: int,
-                 tag: Optional[int] = None, tag_epoch: int = -1):
-        self.score = score
-        self.card = card
-        self.tag = tag
-        self.tag_epoch = tag_epoch
-        self.star_depth = 0
-
-    def iteration_tag(self, epoch: int) -> Optional[int]:
-        """The discovery iteration if set during this update, else None."""
-        return self.tag if self.tag_epoch == epoch else None
-
-
-class _Node:
-    __slots__ = ("label", "parent", "children", "meta")
+    __slots__ = ("label", "parent", "children", "score", "star_depth")
 
     def __init__(self, label, parent):
         self.label = label
         self.parent = parent
         self.children: dict = {}
-        self.meta: Optional[SubgraphMeta] = None
+        self.score: Optional[float] = None
+        self.star_depth = 0
 
     def __repr__(self):  # debugging aid only
         return f"<node {self.label}>"
@@ -101,7 +83,7 @@ class SubgraphIndex:
     # -- path access -------------------------------------------------------------
 
     def find(self, vertices: Iterable[int]) -> Optional[_Node]:
-        """Node for a sorted vertex tuple, or None; may carry no meta."""
+        """Node for a sorted vertex tuple, or None; it need not hold a set."""
         node = self.root
         for v in vertices:
             node = node.children.get(v)
@@ -112,7 +94,7 @@ class SubgraphIndex:
     def entry(self, vertices: Iterable[int]) -> Optional[_Node]:
         """Like find() but only returns nodes representing an indexed set."""
         node = self.find(vertices)
-        return node if node is not None and node.meta is not None else None
+        return node if node is not None and node.score is not None else None
 
     def vertices_of(self, node: _Node) -> tuple[int, ...]:
         """Reconstruct the (sorted) vertex set via parent pointers.
@@ -131,15 +113,13 @@ class SubgraphIndex:
         out.reverse()
         return tuple(out)
 
-    def insert(self, vertices: tuple[int, ...], score: float, epoch: int = 0,
-               tag: Optional[int] = None) -> _Node:
+    def insert(self, vertices: tuple[int, ...], score: float) -> _Node:
         """Insert or refresh the entry for a sorted vertex set.
 
-        Re-inserting an existing set replaces its meta in place.  Rejects
+        Re-inserting an existing set replaces its score in place.  Rejects
         sets the validator considers sparse.
         """
-        card = len(vertices)
-        if self._validator is not None and not self._validator(card, score):
+        if self._validator is not None and not self._validator(len(vertices), score):
             raise IndexError_(f"refusing to index sparse set {vertices}")
         node = self.root
         for v in vertices:
@@ -150,14 +130,9 @@ class SubgraphIndex:
                 self._link(child)
                 self._node_count += 1
             node = child
-        if node.meta is None:
+        if node.score is None:
             self._entry_count += 1
-            node.meta = SubgraphMeta(score, card, tag, epoch if tag is not None else -1)
-        else:
-            m = node.meta
-            m.score = score
-            m.tag = tag
-            m.tag_epoch = epoch if tag is not None else -1
+        node.score = score
         return node
 
     def extend_lookup(self, node: _Node, y: int) -> Optional[_Node]:
@@ -176,7 +151,7 @@ class SubgraphIndex:
 
     def _prune_up(self, node: _Node) -> int:
         freed = 0
-        while node is not self.root and node.meta is None and not node.children:
+        while node is not self.root and node.score is None and not node.children:
             parent = node.parent
             self._unlink(node)
             del parent.children[node.label]
@@ -188,19 +163,19 @@ class SubgraphIndex:
     def remove(self, node_or_vertices) -> int:
         """Drop an indexed set; returns the number of tree nodes freed.
 
-        The terminal's meta is cleared, any star marker below it is removed,
-        and meta-free childless nodes are pruned toward the root.
+        The terminal's score is cleared, any star marker below it is removed,
+        and childless nodes that hold no set are pruned toward the root.
         """
         if isinstance(node_or_vertices, _Node):
             node = node_or_vertices
         else:
             node = self.find(node_or_vertices)
-        if node is None or node.meta is None:
+        if node is None or node.score is None:
             raise IndexError_(f"cannot remove absent set {node_or_vertices}")
         freed = 0
-        if node.meta.star_depth:
+        if node.star_depth:
             freed += self.set_star_depth(node, 0)
-        node.meta = None
+        node.score = None
         self._entry_count -= 1
         return freed + self._prune_up(node)
 
@@ -214,13 +189,12 @@ class SubgraphIndex:
         list whenever the depth grows.  Returns the number of tree nodes
         removed (1 when the marker goes, else 0).
         """
-        meta = node.meta
-        if meta is None:
+        if node.score is None:
             raise IndexError_("star markers hang below indexed entries only")
         if depth < 0:
             raise IndexError_("star depth out of range")
-        current = meta.star_depth
-        meta.star_depth = depth
+        current = node.star_depth
+        node.star_depth = depth
         if depth > current:
             marker = node.children.get(STAR)
             if marker is None:
@@ -240,14 +214,14 @@ class SubgraphIndex:
         """Entries carrying a marker, as (entry node, star depth), most
         recently deepened first."""
         for marker in self.inverted_list(STAR):
-            yield marker.parent, marker.parent.meta.star_depth
+            yield marker.parent, marker.parent.star_depth
 
     # -- iteration -----------------------------------------------------------------
 
     def _subtrees(self, roots: list[tuple[_Node, tuple[int, ...]]],
                   prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Depth-first walk below each (node, vertices above it) root in
-        turn, yielding meta-bearing nodes and star markers."""
+        turn, yielding entries and star markers."""
         stack = roots[::-1]
         pop, push = stack.pop, stack.append
         while stack:
@@ -259,7 +233,7 @@ class SubgraphIndex:
                 yield below, n
                 continue
             vs = below + (label,)
-            if n.meta is not None:
+            if n.score is not None:
                 yield vs, n
             children = n.children
             if children:
@@ -273,7 +247,7 @@ class SubgraphIndex:
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
 
-        Yields (vertices, node) for meta-bearing nodes and star markers (a
+        Yields (vertices, node) for entries and star markers (a
         marker reports its core's vertices).  First the subtrees of b's
         inverted list, then a's (pruning descent at nodes labeled b), then
         the markers whose core contains neither endpoint.
@@ -301,7 +275,7 @@ class SubgraphIndex:
         pop, push = stack.pop, stack.append
         while stack:
             node, vs = pop()
-            if node.meta is not None:
+            if node.score is not None:
                 yield vs, node
             children = node.children
             if children:
@@ -328,16 +302,16 @@ class SubgraphIndex:
                 assert child.parent is node, "broken parent link"
                 assert listed.get(id(child)) == label, "node missing from its inverted list"
                 if label is STAR:
-                    assert not child.children and child.meta is None, \
+                    assert not child.children and child.score is None, \
                         "a star marker is a bare leaf"
-                    assert node.meta is not None and node.meta.star_depth, \
+                    assert node.score is not None and node.star_depth, \
                         "star marker without a depth"
                     continue
                 assert last_label is None or label > last_label, \
                     "labels must increase along paths"
-                if child.meta is None:
-                    assert child.children, "orphan childless node without meta"
-                elif child.meta.star_depth:
+                if child.score is None:
+                    assert child.children, "orphan childless node without a score"
+                elif child.star_depth:
                     assert STAR in child.children, "star depth without a marker"
                 walk(child, label)
 

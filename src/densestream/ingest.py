@@ -26,14 +26,15 @@ dt >= 0 and a finite tau > 0, which is why the mean life must be finite.
 Under llr a post visits only the partners whose weight can move.  A pair
 weighs 0 while either support is below 5, so a pair whose last emitted
 weight is 0 stays silent unless both counts are at least 5 now.  The
-ingestor therefore keeps two structures: the partners each entity has a
-nonzero weight with, and a hot set that holds every entity whose decayed
-count may still be at least 5, keyed on the time t_last + tau*ln(k/5) at
-which its count k, stored at t_last, falls below 5.  A post entity below 5
-visits only its weighted partners; any other visits its hot partners and
-its weighted ones, in sorted order.  A skipped pair would have weighed 0
-and emitted nothing, and the visited pairs keep their order, so the
-emitted stream is the one of visiting every partner.
+ingestor therefore keeps two structures: each entity's partners of
+nonzero weight, with that weight, stored both ways, and a hot set that
+holds every entity whose decayed count may still be at least 5, keyed on
+the time t_last + tau*ln(k/5) at which its count k, stored at t_last,
+falls below 5.  A post entity below 5 visits only its weighted partners;
+any other visits its hot partners and its weighted ones, in sorted order.
+A skipped pair would have weighed 0 and emitted nothing, and the visited
+pairs keep their order, so the emitted stream is the one of visiting every
+partner.
 
 The expiry is rounded late, by a margin relative to the mean life and to
 the clock.  ``exp`` and ``log`` round, so the decayed count can still read
@@ -278,8 +279,7 @@ class DocumentIngestor:
         self.measure = AssociationMeasure(measure)
         self.counts = DecayedCounts(mean_life)
         self.dictionary = dictionary if dictionary is not None else EntityDictionary()
-        self._weights: dict[tuple[str, str], float] = {}  # last emitted weight
-        self._weighted: dict[str, set[str]] = {}  # partners of nonzero weight
+        self._weights: dict[str, dict[str, float]] = {}  # e -> {x: last nonzero weight}
         self._hot: dict[str, float] = {}          # entity -> time it may fall below 5
         self._expiry: list[tuple[float, str]] = []  # min-heap, one entry per hot entity
         self._seq = 0
@@ -342,7 +342,6 @@ class DocumentIngestor:
             self._heat(t, ents)
         hot = self._hot.keys()
         weights = self._weights
-        weighted = self._weighted
         updates: list[EdgeUpdate] = []
         recomputed: set[tuple[str, str]] = set()
         tabled = 0
@@ -352,10 +351,10 @@ class DocumentIngestor:
             if not gated:
                 visit = counts.partners(e)
             elif closed:
-                visit = weighted.get(e, ())
+                visit = weights.get(e, ())
             else:
                 visit = counts.partners(e) & hot  # iterates the smaller side
-                visit.update(weighted.get(e, ()))
+                visit.update(weights.get(e, ()))
             for x in sorted(visit):
                 key = (e, x) if e <= x else (x, e)
                 if key in recomputed:
@@ -371,7 +370,8 @@ class DocumentIngestor:
                         # symmetric in floating point
                         new_w = (table_weight(measure, n, k_e, k_x, k11) if e == key[0]
                                  else table_weight(measure, n, k_x, k_e, k11))
-                old_w = weights.get(key, 0.0)
+                row = weights.get(e)
+                old_w = 0.0 if row is None else row.get(x, 0.0)
                 if abs(new_w - old_w) > EPS:
                     self._seq += 1
                     updates.append(EdgeUpdate(
@@ -381,14 +381,11 @@ class DocumentIngestor:
                         new_w - old_w,
                     ))
                     if new_w == 0.0:
-                        del weights[key]
-                        weighted[e].discard(x)
-                        weighted[x].discard(e)
+                        del weights[e][x]
+                        del weights[x][e]
                     else:
-                        if old_w == 0.0:
-                            weighted.setdefault(e, set()).add(x)
-                            weighted.setdefault(x, set()).add(e)
-                        weights[key] = new_w
+                        weights.setdefault(e, {})[x] = new_w
+                        weights.setdefault(x, {})[e] = new_w
         self.pairs_reweighed += len(recomputed)
         self.pairs_tabled += tabled
         self.updates_emitted += len(updates)

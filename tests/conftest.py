@@ -51,7 +51,7 @@ def record_probes(engine: DenseSubgraphEngine) -> list[tuple[tuple[int, ...], fl
     """Log every probe of a set the index does not hold, from now on.
 
     Each entry is (set, score, accepted), taken before the probe runs; a
-    probe that meets an indexed set only re-tags it and is not logged.
+    probe that meets an indexed set is not logged.
     Wraps ``_probe`` on this engine instance, so the engine's own recursive
     probes are logged too.
     """
@@ -60,7 +60,7 @@ def record_probes(engine: DenseSubgraphEngine) -> list[tuple[tuple[int, ...], fl
 
     def logged(vs, score, i, node=False):
         hit = find(vs)
-        if hit is None or hit.meta is None:
+        if hit is None or hit.score is None:
             log.append((vs, score, cfg.is_dense(len(vs), score)))
         probe(vs, score, i, node)
 

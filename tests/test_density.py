@@ -159,6 +159,15 @@ def test_classify_rejects_out_of_range_cardinality(walkthrough_cfg):
             cfg.free_extension_depth(card, score)
 
 
+@pytest.mark.parametrize("card", [-1, 0, 1, 5])
+def test_dense_tests_reject_out_of_range_cardinality(walkthrough_cfg, card):
+    # n_max is 4; unchecked, -1 would index the schedule from its end
+    with pytest.raises(ValueError):
+        walkthrough_cfg.is_dense(card, 100.0)
+    with pytest.raises(ValueError):
+        walkthrough_cfg.is_output_dense(card, 100.0)
+
+
 # -- exploration budget --------------------------------------------------------------
 
 def test_iteration_budget_examples(walkthrough_cfg):

@@ -91,6 +91,7 @@ def test_set_admitted_this_update_grows_again_from_a_lower_round():
     events = engine.process_update(3, 5, 1.63, 4)
     assert [(e.kind, e.vertices) for e in events] == [
         ("GAIN", (1, 2, 3, 5)), ("GAIN", (1, 2, 3, 4, 5))]
+    assert engine._round[engine.index.entry((2, 3, 4, 5))] == 1
     truth = brute_force_dense(g, cfg, strategy="both")
     assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
 
@@ -372,16 +373,20 @@ def test_index_stays_structurally_sound_under_random_streams():
         a, b, delta = random_update(rng, g, 8, magnitude=1.0)
         engine.process_update(a, b, delta, seq)
         engine.index.audit()
-        for _vs, node in engine.index.items():
-            m = node.meta
-            assert cfg.is_dense(m.card, m.score)
-            assert m.star_depth == cfg.free_extension_depth(m.card, m.score)
+        for vs, node in engine.index.items():
+            assert cfg.is_dense(len(vs), node.score)
+            assert node.star_depth == cfg.free_extension_depth(len(vs), node.score)
 
 
 # -- the event stream, pinned ------------------------------------------------------------
 
 def _deep_star_replay(seed: int, star_mode: bool) -> list[str]:
-    """Event lines and final state of one random stream whose star depths grow deep.
+    """Event lines and final state of one random stream whose star depths grow deep."""
+    return _deep_star_run(seed, star_mode)[1]
+
+
+def _deep_star_run(seed: int, star_mode: bool) -> tuple[DenseSubgraphEngine, list[str]]:
+    """The engine after one deep-star stream, and the stream's replay lines.
 
     Small universes, threshold 1.0 and large lifts make many sets too dense,
     with star depths reaching 3 to 5; negative updates take back a share of
@@ -408,7 +413,7 @@ def _deep_star_replay(seed: int, star_mode: bool) -> list[str]:
             delta = -w * rng.choice((1.0, rng.random()))
         lines.extend(map(format_event, engine.process_update(a, b, delta, seq)))
     lines.append(repr(sorted(engine.state_signature().items())))
-    return lines
+    return engine, lines
 
 
 # sha256 of the 60 replays below, taken from an engine that still probed the
@@ -423,6 +428,26 @@ def test_event_stream_is_pinned_on_deep_star_replays():
         for line in _deep_star_replay(seed, star_mode=seed % 5 != 4):
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == PINNED_REPLAY_SHA256
+
+
+# (probes, rejected_probes, explore_calls, cheap_explores, star_scans) after
+# each replay.  A round found in an earlier update would let a probe grow
+# from a set indexed before this one; that changes these counts on most
+# replays, but not the events of the 60 replays pinned above.
+PINNED_REPLAY_WORK = {
+    0: (9360, 1517, 1402, 2326, 21835),
+    1: (905, 189, 217, 338, 1794),
+    2: (1341, 289, 291, 577, 3722),
+    3: (3626, 535, 637, 967, 11123),
+    4: (6558, 1290, 974, 1408, 11257),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_REPLAY_WORK))
+def test_search_work_is_pinned_on_deep_star_replays(seed):
+    st = _deep_star_run(seed, star_mode=seed % 5 != 4)[0].stats
+    assert (st.probes, st.rejected_probes, st.explore_calls, st.cheap_explores,
+            st.star_scans) == PINNED_REPLAY_WORK[seed]
 
 
 # -- rejected updates leave no trace ---------------------------------------------------

@@ -38,7 +38,7 @@ def test_reinsert_updates_meta_in_place():
     node = idx.entry((1, 3))
     idx.insert((1, 3), 2.5)
     assert idx.entry((1, 3)) is node
-    assert node.meta.score == 2.5
+    assert node.score == 2.5
     assert len(idx) == 5
     assert idx.node_count == 9
 
@@ -99,7 +99,7 @@ def test_remove_cascades_once_nothing_depends_on_the_path():
 
 def test_remove_prunes_meta_free_interior_nodes():
     idx = build_five_set_index()
-    # (3,4) and (3,) carry no meta, so removing (3,4,5) frees that whole limb
+    # (3,4) and (3,) carry no score, so removing (3,4,5) frees that whole limb
     assert idx.remove((3, 4, 5)) == 3
     assert idx.find((3, 4)) is None
     idx.audit()
@@ -138,7 +138,7 @@ def test_star_chain_mark_and_unmark():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
     idx.set_star_depth(node, 1)
-    assert node.meta.star_depth == 1
+    assert node.star_depth == 1
     assert STAR in node.children
     stars = list(idx.inverted_list(STAR))
     assert len(stars) == 1
@@ -157,13 +157,13 @@ def test_star_chain_grow_and_shrink_depth():
     node = idx.entry((1, 3))
     nodes = idx.node_count
     idx.set_star_depth(node, 3)
-    # one marker at any nonzero depth; the depth itself lives in meta
+    # one marker at any nonzero depth; the depth itself lives on the entry
     assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
-    assert node.meta.star_depth == 3
+    assert node.star_depth == 3
     assert idx.node_count == nodes + 1
     assert idx.set_star_depth(node, 1) == 0
     assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
-    assert node.meta.star_depth == 1
+    assert node.star_depth == 1
     assert idx.node_count == nodes + 1
     idx.audit()
     assert idx.set_star_depth(node, 0) == 1
@@ -202,14 +202,14 @@ def test_audit_rejects_a_marker_without_a_depth():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
     idx.set_star_depth(node, 1)
-    node.meta.star_depth = 0
+    node.star_depth = 0
     with pytest.raises(AssertionError, match="marker without a depth"):
         idx.audit()
 
 
 def test_audit_rejects_a_depth_without_a_marker():
     idx = build_five_set_index()
-    idx.entry((1, 3)).meta.star_depth = 1
+    idx.entry((1, 3)).star_depth = 1
     with pytest.raises(AssertionError, match="depth without a marker"):
         idx.audit()
 
