@@ -112,7 +112,7 @@ class DenseSubgraphEngine:
         self.stats.updates += 1
         self._events = []
         if delta != 0.0:
-            self._round = {}
+            self._round = {}  # only this update's sets are read; this frees the rest
             self._seq = seq
             self._lo, self._hi = (a, b) if a < b else (b, a)
             self._delta = delta
@@ -255,12 +255,8 @@ class DenseSubgraphEngine:
             if other is None:
                 self._rescore(node, vs)
 
-        # The updated pair itself may now be worth indexing.  Nothing has been
-        # admitted yet, and an indexed pair holds both endpoints, so the pair
-        # is indexed exactly when it is in ``known``.
-        pair = (a, b)
-        if pair not in known:
-            self._probe(pair, self._w_after, 0)
+        # The updated pair itself may now be worth indexing.
+        self._probe((a, b), self._w_after, 0)
 
         # Outward search, in traversal order.
         for node, vs, other in work:
@@ -387,9 +383,11 @@ class DenseSubgraphEngine:
         ``node`` may carry a pre-located tree node (or None when the caller
         already knows the set is absent); ``False`` means look it up here.
         """
-        self.stats.probes += 1
         if node is False:
+            if vs in self._known:
+                return  # indexed before the update: it has no round to lower
             node = self.index.find(vs)
+        self.stats.probes += 1
         if node is not None and node.score is not None:
             t = self._round.get(node)
             if t is not None and t > i:

@@ -28,32 +28,28 @@ weighs 0 while either support is below 5, so a pair whose last emitted
 weight is 0 stays silent unless both counts are at least 5 now.  The
 ingestor therefore keeps two structures: each entity's partners of
 nonzero weight, with that weight, stored both ways, and a hot set that
-holds every entity whose decayed count may still be at least 5, keyed on
-the time t_last + tau*ln(k/5) at which its count k, stored at t_last,
-falls below 5.  A post entity below 5 visits only its weighted partners;
-any other visits its hot partners and its weighted ones, in sorted order.
-A skipped pair would have weighed 0 and emitted nothing, and the visited
+holds every entity whose decayed count may still be at least 5.  A post
+entity joins the set when its count is at least 5 and leaves it
+otherwise; a visited partner whose decayed count reads below 5 leaves it
+too.  A post entity below 5 visits only its weighted partners; any other
+visits its hot partners and its weighted ones, in sorted order.  A
+skipped pair would have weighed 0 and emitted nothing, and the visited
 pairs keep their order, so the emitted stream is the one of visiting every
 partner.
 
-The expiry is rounded late, by a margin relative to the mean life and to
-the clock.  ``exp`` and ``log`` round, so the decayed count can still read
-5 just after the exact crossing: a count of exactly 5 crosses at t_last
-itself, yet reads 5.0 a few ulps of t later.  The hot set is therefore a
-superset, and the exact gates above still decide every visited pair, so
-the output does not depend on how late the expiry is.  Entities leave the
-set lazily through a min-heap holding one entry per hot entity; an entry
-whose entity was touched since it was keyed is re-keyed, not duplicated.
+Retirement is exact: a retired entity stays below 5 until its next post
+re-adds it, because its decayed count never rises between touches.  That
+assumes ``exp`` is monotone in the elapsed time, as the clock never runs
+back and the other steps of the decay round monotonically.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, KeysView, Optional
 
 from .density import EPS
 from .graph import EdgeUpdate
@@ -63,7 +59,6 @@ LLR_MIN_SUPPORT = 5.0          # documents per entity before an edge may form
 LLR_CRITICAL = 6.635           # chi-square(1df) upper tail at p = 0.01
 CHI2_CRITICAL = 3.841          # chi-square(1df) upper tail at p = 0.05
 TIME_SLACK = 1e-6              # tolerated timestamp regression
-EXPIRY_MARGIN = 1e-9           # lateness of a hot entity's expiry, relative
 
 
 class IngestError(ValueError):
@@ -87,8 +82,8 @@ class DecayedCounts:
             raise IngestError(f"mean life must be finite and positive, got {mean_life}")
         self.mean_life = mean_life
         self._occ: dict[str, list[float]] = {}        # entity -> [count, t]
-        self._co: dict[tuple[str, str], list[float]] = {}
-        self._partners: dict[str, set[str]] = {}      # ever co-occurred with
+        # e -> {partner: [count, t]}; a pair's one cell is shared by both rows
+        self._co: dict[str, dict[str, list[float]]] = {}
         self._total = [0.0, 0.0]
         self._clock: Optional[float] = None
 
@@ -115,11 +110,12 @@ class DecayedCounts:
             cell[1] = t
         for i, e1 in enumerate(ents):
             for e2 in ents[i + 1:]:
-                cell = self._co.setdefault((e1, e2), [0.0, t])
+                row = self._co.setdefault(e1, {})
+                cell = row.get(e2)
+                if cell is None:
+                    cell = row[e2] = self._co.setdefault(e2, {})[e1] = [0.0, t]
                 cell[0] = self._decayed(cell[0], cell[1], t) + 1.0
                 cell[1] = t
-                self._partners.setdefault(e1, set()).add(e2)
-                self._partners.setdefault(e2, set()).add(e1)
 
     def occurrence(self, e: str, t: float) -> float:
         cell = self._occ.get(e)
@@ -135,20 +131,20 @@ class DecayedCounts:
         return 0.0 if cell is None else cell[0]
 
     def cooccurrence(self, e1: str, e2: str, t: float) -> float:
-        key = (e1, e2) if e1 <= e2 else (e2, e1)
-        cell = self._co.get(key)
+        cell = self._co.get(e1, {}).get(e2)
         return 0.0 if cell is None else self._decayed(cell[0], cell[1], t)
 
     def total(self, t: float) -> float:
         return self._decayed(self._total[0], self._total[1], t)
 
-    def partners(self, e: str) -> set[str]:
-        return self._partners.get(e, set())
+    def partners(self, e: str) -> KeysView[str]:
+        """The entities e ever co-occurred with, as a set-like view."""
+        return self._co.get(e, {}).keys()
 
     @property
     def live_cells(self) -> int:
-        """Co-occurrence cells held; none is ever dropped."""
-        return len(self._co)
+        """Co-occurrence cells held, one per pair; none is ever dropped."""
+        return sum(map(len, self._co.values())) // 2
 
     @property
     def clock(self) -> Optional[float]:
@@ -280,8 +276,7 @@ class DocumentIngestor:
         self.counts = DecayedCounts(mean_life)
         self.dictionary = dictionary if dictionary is not None else EntityDictionary()
         self._weights: dict[str, dict[str, float]] = {}  # e -> {x: last nonzero weight}
-        self._hot: dict[str, float] = {}          # entity -> time it may fall below 5
-        self._expiry: list[tuple[float, str]] = []  # min-heap, one entry per hot entity
+        self._hot: set[str] = set()  # every entity whose decayed count may be >= 5
         self._seq = 0
         self.pairs_reweighed = 0
         self.pairs_tabled = 0
@@ -289,30 +284,8 @@ class DocumentIngestor:
 
     @property
     def hot_entities(self) -> int:
-        """Entities whose decayed count may be at least the llr support bar."""
+        """Entities at the llr support bar at their last post, not read below it since."""
         return len(self._hot)
-
-    def _heat(self, t: float, ents: list[str]) -> None:
-        """Key each post entity with a count of at least 5 on the time it may
-        fall below 5, rounded late, then drop the entities expired before t."""
-        counts, hot, heap = self.counts, self._hot, self._expiry
-        tau = counts.mean_life
-        for e in ents:
-            k = counts.stored_occurrence(e)  # just touched: the count at t
-            if k >= LLR_MIN_SUPPORT:
-                expiry = (t + tau * (math.log(k / LLR_MIN_SUPPORT) + EXPIRY_MARGIN)
-                          + EXPIRY_MARGIN * abs(t))
-                if e not in hot:
-                    heapq.heappush(heap, (expiry, e))
-                hot[e] = expiry
-        while heap and heap[0][0] < t:
-            e = heap[0][1]
-            expiry = hot[e]
-            if expiry < t:
-                heapq.heappop(heap)
-                del hot[e]
-            else:  # touched since it was keyed
-                heapq.heapreplace(heap, (expiry, e))
 
     def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
         """Count a document, then re-weigh the pairs incident to its entities.
@@ -326,8 +299,9 @@ class DocumentIngestor:
         visited partner x weighs 0, with no ``exp``, when e's support or x's
         stored count is below the bar: the stored count bounds the decayed
         one from above (see the module docstring).  Otherwise x's count is
-        decayed once and gated again, and only then is the co-occurrence
-        decayed and the table built.  chi2 visits every partner.
+        decayed once and gated again, retiring x from the hot set when below
+        the bar, and only then is the co-occurrence decayed and the table
+        built.  chi2 visits every partner.
         """
         counts = self.counts
         ents = sorted(set(entities))
@@ -338,9 +312,13 @@ class DocumentIngestor:
         n = counts.total(t)
         measure = self.measure
         gated = measure is AssociationMeasure.LLR_THRESHOLDED
+        hot = self._hot
         if gated:
-            self._heat(t, ents)
-        hot = self._hot.keys()
+            for e in ents:  # just touched: the stored count is the count at t
+                if counts.stored_occurrence(e) >= LLR_MIN_SUPPORT:
+                    hot.add(e)
+                else:
+                    hot.discard(e)
         weights = self._weights
         updates: list[EdgeUpdate] = []
         recomputed: set[tuple[str, str]] = set()
@@ -359,19 +337,23 @@ class DocumentIngestor:
                 key = (e, x) if e <= x else (x, e)
                 if key in recomputed:
                     continue
-                recomputed.add(key)
+                row = weights.get(e)
+                old_w = 0.0 if row is None else row.get(x, 0.0)
                 new_w = 0.0
                 if not (closed or gated and counts.stored_occurrence(x) < LLR_MIN_SUPPORT):
                     k_x = counts.occurrence(x, t)
-                    if not (gated and k_x < LLR_MIN_SUPPORT):
+                    if gated and k_x < LLR_MIN_SUPPORT:
+                        hot.discard(x)  # below 5 until its next post
+                        if old_w == 0.0:
+                            continue  # weighed 0 and still does
+                    else:
                         tabled += 1
                         k11 = counts.cooccurrence(e, x, t)
                         # k1 is the occurrence of key[0]: the table is not
                         # symmetric in floating point
                         new_w = (table_weight(measure, n, k_e, k_x, k11) if e == key[0]
                                  else table_weight(measure, n, k_x, k_e, k11))
-                row = weights.get(e)
-                old_w = 0.0 if row is None else row.get(x, 0.0)
+                recomputed.add(key)
                 if abs(new_w - old_w) > EPS:
                     self._seq += 1
                     updates.append(EdgeUpdate(

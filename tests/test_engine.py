@@ -431,15 +431,16 @@ def test_event_stream_is_pinned_on_deep_star_replays():
 
 
 # (probes, rejected_probes, explore_calls, cheap_explores, star_scans) after
-# each replay.  A round found in an earlier update would let a probe grow
-# from a set indexed before this one; that changes these counts on most
-# replays, but not the events of the 60 replays pinned above.
+# each replay.  Every set reaching a round lookup in ``_probe`` was admitted
+# in the same update, since sets indexed before it are skipped, so these
+# counts do not show whether ``_round`` is reset between updates; they do
+# show a probe that fails to lower a round it looked up.
 PINNED_REPLAY_WORK = {
-    0: (9360, 1517, 1402, 2326, 21835),
-    1: (905, 189, 217, 338, 1794),
-    2: (1341, 289, 291, 577, 3722),
-    3: (3626, 535, 637, 967, 11123),
-    4: (6558, 1290, 974, 1408, 11257),
+    0: (5814, 1517, 1402, 2326, 21835),
+    1: (627, 189, 217, 338, 1794),
+    2: (803, 289, 291, 577, 3722),
+    3: (1966, 535, 637, 967, 11123),
+    4: (3885, 1290, 974, 1408, 11257),
 }
 
 

@@ -81,6 +81,21 @@ def test_mean_life_must_be_finite_and_positive(mean_life):
         DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, mean_life)
 
 
+def test_a_pair_has_one_cell_whichever_order_lists_it():
+    c = DecayedCounts(mean_life=100.0)
+    c.observe(0.0, ["b", "a"])
+    c.observe(50.0, ["a", "c", "b"])
+    c.observe(80.0, ["c", "b"])
+    for t in (80.0, 300.0):
+        ab = (math.exp(-0.5) + 1.0) * math.exp(-(t - 50.0) / 100.0)
+        assert c.cooccurrence("b", "a", t) == c.cooccurrence("a", "b", t)
+        assert c.cooccurrence("a", "b", t) == pytest.approx(ab, abs=1e-12)
+        assert c.cooccurrence("c", "b", t) == c.cooccurrence("b", "c", t)
+    assert c.partners("a") == {"b", "c"} and c.partners("b") == {"a", "c"}
+    assert all(e in c.partners(x) for e in "abc" for x in c.partners(e))
+    assert c.live_cells == 3
+
+
 def test_repeated_observation_decays_then_increments():
     tau = 100.0
     c = DecayedCounts(mean_life=tau)
@@ -350,7 +365,7 @@ def test_hot_set_expiry_boundary_emits_what_the_per_pair_loop_emits(mean_life, s
     for t, ents in _boundary_posts(mean_life, stored, offset):
         assert ing.process_document(t, ents) == ref.process_document(t, ents)
     # where x's count still reads 5 (stored 10 at the boundary, or a stored 5),
-    # e-x opens; a hot set expired on time would have missed it
+    # e-x opens; a hot set that dropped x at the exact crossing would miss it
     assert ref.counts.stored_occurrence("x") == pytest.approx(stored, abs=1e-12)
     opened = ref.counts.occurrence("x", ref.counts.clock) >= 5
     assert ing.updates_emitted == ref.updates_emitted == opened
@@ -365,15 +380,31 @@ def test_hot_set_and_weighted_partners_hold_their_invariants(mean_life):
         before = set(hot)
         ing.process_document(t, ents)
         t = counts.clock
-        left += len(before - hot.keys())
+        left += len(before - hot)
         tokens = [ing.dictionary.token_for(i) for i in range(1, len(ing.dictionary) + 1)]
-        assert {x for x in tokens if counts.occurrence(x, t) >= 5} <= hot.keys()
+        assert {x for x in tokens if counts.occurrence(x, t) >= 5} <= hot
         assert all(counts.stored_occurrence(x) >= 5 for x in hot)
-        assert sorted(e for _, e in ing._expiry) == sorted(hot)
         assert all(w != 0.0 and ing._weights[x][e] == w
                    for e, row in ing._weights.items() for x, w in row.items())
     assert ing.updates_emitted > 0
-    assert left > 0  # entities did expire from the hot set
+    assert left > 0  # entities did leave the hot set
+
+
+def test_cold_partners_do_not_pile_up_in_the_hot_set():
+    """A hub posts five times with a fresh partner in each burst, bursts
+    three mean lives apart.  Each partner is hot after its burst and cold by
+    the next, where the hub's visit retires it: neither the visits nor the
+    hot set grow with the number of past partners."""
+    tau, bursts = 7200.0, 150
+    ing = DocumentIngestor(AssociationMeasure.LLR_THRESHOLDED, tau)
+    for b in range(bursts):
+        for _ in range(20):
+            ing.process_document(3 * tau * b, [])
+        for _ in range(5):
+            ing.process_document(3 * tau * b, ["hub", f"p{b}"])
+    assert ing.updates_emitted > 0
+    assert ing.pairs_reweighed <= 2 * bursts  # opened, then closed a burst later
+    assert ing.hot_entities <= 2              # the hub and its latest partner
 
 
 STORY_STREAM_SHA256 = {  # format_update lines, computed with the per-pair loop
