@@ -64,7 +64,9 @@ def build_config(args) -> DensityConfig:
 
 def _make_engine(args, cfg: DensityConfig) -> DenseSubgraphEngine:
     graph = WeightedGraph()
-    if args.universe:
+    if args.universe is not None:
+        if args.universe < 1:
+            raise _InputError("--universe must be at least 1")
         graph.ensure_universe(args.universe)
     return DenseSubgraphEngine(cfg, graph)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .density import EPS, DensityConfig
@@ -141,18 +142,15 @@ class DenseSubgraphEngine:
         bar = cfg.threshold - EPS
         dense: dict[tuple[int, ...], float] = {}
         output: dict[tuple[int, ...], float] = {}
-        cores: dict[int, tuple[int, ...]] = {}  # id(star core) -> its set
         for vs, node in self.index.items():
             d = node.score / sizes[len(vs)]
             dense[vs] = d
             if d >= bar:
                 output[vs] = d
-            if node.star_depth:
-                cores[id(node)] = vs
         if expand and self.star_mode:
-            for parent, depth in self.index.star_parents():
-                score = parent.score
-                for evs in self._implied_sets(cores[id(parent)], depth):
+            for core in self.index.star_parents():
+                score = core.score
+                for evs in self._implied_sets(core.vs, core.star_depth):
                     if evs not in dense:
                         d = score / sizes[len(evs)]
                         dense[evs] = d
@@ -270,8 +268,7 @@ class DenseSubgraphEngine:
             self._star_scan(node, vs)
 
         if not self.star_mode and self.graph.num_vertices > prev_universe:
-            for parent, _depth in idx.star_parents():
-                self._dirty.add(parent)
+            self._dirty.update(idx.star_parents())
 
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
         """Grow around a set containing both endpoints (round ``i``).
@@ -437,14 +434,13 @@ class DenseSubgraphEngine:
         """Explicit mode: materialize every star-implied set as an entry."""
         cfg = self.cfg
         while self._dirty:
-            batch = sorted(self._dirty, key=self.index.vertices_of)
+            batch = sorted(self._dirty, key=attrgetter("vs"))
             self._dirty.clear()
             for node in batch:
                 score = node.score
                 if score is None or node.star_depth == 0:
                     continue
-                vs = self.index.vertices_of(node)
-                for evs in self._implied_sets(vs, node.star_depth):
+                for evs in self._implied_sets(node.vs, node.star_depth):
                     enode = self.index.find(evs)
                     if enode is not None and enode.score is not None:
                         continue

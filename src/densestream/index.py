@@ -1,7 +1,9 @@
 """Prefix tree of dense vertex sets with per-vertex inverted lists.
 
 Sets are stored sorted, one tree node per prefix element, so overlapping
-sets share their common-prefix path.  Each vertex has an inverted list --
+sets share their common-prefix path.  Each node holds its prefix as a
+sorted vertex tuple, set when the node is created, so reading a set back
+costs no walk.  Each vertex has an inverted list --
 an insertion-ordered dict of the tree nodes carrying that vertex as label,
 read newest first -- which makes "every indexed set containing v" an
 iteration over a few subtrees and lets node deletion unlink in constant
@@ -30,15 +32,18 @@ class IndexError_(ValueError):
 class _Node:
     """One tree node; an indexed set exactly when ``score`` is not None.
 
-    ``star_depth`` is how many free vertices the entry can absorb; it is
-    nonzero exactly when the node carries a ``*`` marker child.
+    ``vs`` is the sorted vertex tuple of the path to the node; a ``*``
+    marker holds its core's tuple.  ``star_depth`` is how many free
+    vertices the entry can absorb; it is nonzero exactly when the node
+    carries a ``*`` marker child.
     """
 
-    __slots__ = ("label", "parent", "children", "score", "star_depth")
+    __slots__ = ("label", "parent", "vs", "children", "score", "star_depth")
 
-    def __init__(self, label, parent):
+    def __init__(self, label, parent, vs: tuple[int, ...]):
         self.label = label
         self.parent = parent
+        self.vs = vs
         self.children: dict = {}
         self.score: Optional[float] = None
         self.star_depth = 0
@@ -51,7 +56,7 @@ class SubgraphIndex:
     """The dense-set store: prefix tree + inverted lists + star markers."""
 
     def __init__(self, validator: Optional[Callable[[int, float], bool]] = None):
-        self.root = _Node(None, None)
+        self.root = _Node(None, None, ())
         self._lists: dict = {}        # label -> {node: None}, oldest first
         self._entry_count = 0
         self._node_count = 0
@@ -96,23 +101,6 @@ class SubgraphIndex:
         node = self.find(vertices)
         return node if node is not None and node.score is not None else None
 
-    def vertices_of(self, node: _Node) -> tuple[int, ...]:
-        """Reconstruct the (sorted) vertex set via parent pointers.
-
-        For a star marker this is the core set whose free extensions the
-        marker represents.
-        """
-        if node.label is STAR:
-            node = node.parent
-        out = []
-        label = node.label
-        while label is not None:
-            out.append(label)
-            node = node.parent
-            label = node.label
-        out.reverse()
-        return tuple(out)
-
     def insert(self, vertices: tuple[int, ...], score: float) -> _Node:
         """Insert or refresh the entry for a sorted vertex set.
 
@@ -125,7 +113,7 @@ class SubgraphIndex:
         for v in vertices:
             child = node.children.get(v)
             if child is None:
-                child = _Node(v, node)
+                child = _Node(v, node, node.vs + (v,))
                 node.children[v] = child
                 self._link(child)
                 self._node_count += 1
@@ -144,7 +132,7 @@ class SubgraphIndex:
         if node.label is None or y > node.label:
             self.child_probes += 1
             return node.children.get(y)
-        merged = sorted(self.vertices_of(node) + (y,))
+        merged = sorted(node.vs + (y,))
         return self.find(merged)
 
     # -- removal ----------------------------------------------------------------
@@ -198,7 +186,7 @@ class SubgraphIndex:
         if depth > current:
             marker = node.children.get(STAR)
             if marker is None:
-                marker = node.children[STAR] = _Node(STAR, node)
+                marker = node.children[STAR] = _Node(STAR, node, node.vs)
                 self._node_count += 1
             else:
                 self._unlink(marker)
@@ -210,39 +198,32 @@ class SubgraphIndex:
             return 1
         return 0
 
-    def star_parents(self) -> Iterator[tuple[_Node, int]]:
-        """Entries carrying a marker, as (entry node, star depth), most
-        recently deepened first."""
+    def star_parents(self) -> Iterator[_Node]:
+        """Entries carrying a marker, most recently deepened first."""
         for marker in self.inverted_list(STAR):
-            yield marker.parent, marker.parent.star_depth
+            yield marker.parent
 
     # -- iteration -----------------------------------------------------------------
 
-    def _subtrees(self, roots: list[tuple[_Node, tuple[int, ...]]],
+    def _subtrees(self, stack: list[_Node],
                   prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
-        """Depth-first walk below each (node, vertices above it) root in
-        turn, yielding entries and star markers."""
-        stack = roots[::-1]
+        """Depth-first walk below each node of ``stack``, the last one first,
+        yielding (vertices, node) for entries and star markers.
+
+        Children are visited by ascending label, so a marker follows its
+        core's subtree; descent stops at nodes labeled ``prune_label``.
+        """
         pop, push = stack.pop, stack.append
         while stack:
-            n, below = pop()
-            label = n.label
-            if label == prune_label:
+            n = pop()
+            if n.label == prune_label:
                 continue
-            if label is STAR:
-                yield below, n
-                continue
-            vs = below + (label,)
-            if n.score is not None:
-                yield vs, n
+            if n.score is not None or n.label is STAR:
+                yield n.vs, n
             children = n.children
             if children:
                 for label in sorted(children, reverse=True):
-                    push((children[label], vs))
-
-    def _roots(self, label) -> list[tuple[_Node, tuple[int, ...]]]:
-        """(node, vertices above it) for every node carrying ``label``."""
-        return [(n, self.vertices_of(n.parent)) for n in self.inverted_list(label)]
+                    push(children[label])
 
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
@@ -254,34 +235,24 @@ class SubgraphIndex:
         """
         if not a < b:
             raise IndexError_("iterate_containing expects a < b")
-        yield from self._subtrees(self._roots(b))
-        yield from self._subtrees(self._roots(a), prune_label=b)
+        yield from self._subtrees(list(self._lists.get(b, ())))
+        yield from self._subtrees(list(self._lists.get(a, ())), prune_label=b)
         for marker in self.inverted_list(STAR):
-            core = self.vertices_of(marker)
+            core = marker.vs
             if a not in core and b not in core:
                 yield core, marker
 
     def iterate_containing_both(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing both a and b (a < b), in the order
         iterate_containing yields them; star markers are left out."""
-        roots = [(n, above) for n, above in self._roots(b) if a in above]
-        for vs, node in self._subtrees(roots):
-            if node.label is not STAR:
-                yield vs, node
+        roots = [n for n in self._lists.get(b, ()) if a in n.vs]
+        return ((vs, n) for vs, n in self._subtrees(roots) if n.label is not STAR)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """(vertices, node) for every indexed set, in sorted set order."""
-        stack: list[tuple[_Node, tuple[int, ...]]] = [(self.root, ())]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node, vs = pop()
-            if node.score is not None:
-                yield vs, node
-            children = node.children
-            if children:
-                for label in sorted(children, reverse=True):
-                    if label is not STAR:
-                        push((children[label], vs + (label,)))
+        children = self.root.children
+        roots = [children[label] for label in sorted(children, reverse=True)]
+        return ((vs, n) for vs, n in self._subtrees(roots) if n.label is not STAR)
 
     # -- structural audit (test support) ------------------------------------------
 
@@ -306,7 +277,9 @@ class SubgraphIndex:
                         "a star marker is a bare leaf"
                     assert node.score is not None and node.star_depth, \
                         "star marker without a depth"
+                    assert child.vs is node.vs, "a star marker holds its core's tuple"
                     continue
+                assert child.vs == node.vs + (label,), "vertex tuple is not the node's path"
                 assert last_label is None or label > last_label, \
                     "labels must increase along paths"
                 if child.score is None:

@@ -17,11 +17,11 @@ emission possible.
 
 Each document reads the total and its own entities' occurrences once; it
 has just touched them, so they need no decay.  Under llr a pair is then
-gated in order: the document entity's support, the partner's stored count,
-the partner's decayed count, and only then are the co-occurrence decayed
-and the table built.  The stored-count gate is exact because decay never
-raises a count: c * exp(-dt/tau) <= c holds also in floating point, for
-dt >= 0 and a finite tau > 0, which is why the mean life must be finite.
+gated in order: the document entity's support, then the partner's decayed
+count, and only then are the co-occurrence decayed and the table built.
+Decay never raises a count: c * exp(-dt/tau) <= c holds also in floating
+point, for dt >= 0 and a finite tau > 0, which is why the mean life must
+be finite.
 
 Under llr a post visits only the partners whose weight can move.  A pair
 weighs 0 while either support is below 5, so a pair whose last emitted
@@ -296,12 +296,11 @@ class DocumentIngestor:
 
         Under llr a post entity e visits its weighted partners and, when its
         own support is at least 5, its hot partners, in sorted order.  A
-        visited partner x weighs 0, with no ``exp``, when e's support or x's
-        stored count is below the bar: the stored count bounds the decayed
-        one from above (see the module docstring).  Otherwise x's count is
-        decayed once and gated again, retiring x from the hot set when below
-        the bar, and only then is the co-occurrence decayed and the table
-        built.  chi2 visits every partner.
+        visited partner x weighs 0, with no ``exp``, when e's support is
+        below the bar.  Otherwise x's count is decayed once and gated,
+        retiring x from the hot set when below the bar, and only then is the
+        co-occurrence decayed and the table built.  chi2 visits every
+        partner.
         """
         counts = self.counts
         ents = sorted(set(entities))
@@ -340,7 +339,7 @@ class DocumentIngestor:
                 row = weights.get(e)
                 old_w = 0.0 if row is None else row.get(x, 0.0)
                 new_w = 0.0
-                if not (closed or gated and counts.stored_occurrence(x) < LLR_MIN_SUPPORT):
+                if not closed:
                     k_x = counts.occurrence(x, t)
                     if gated and k_x < LLR_MIN_SUPPORT:
                         hot.discard(x)  # below 5 until its next post

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,12 +220,36 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
     # the default --delta-it 1% needs a range these two leave undefined
     (["run", "--nmax", "2"], "n_max must be at least 3"),
     (["run", "--threshold", "0"], "threshold must be positive"),
+    (["run", "--universe", "-5"], "--universe"),
+    (["verify", "--universe", "0"], "--universe"),
 ])
 def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, named):
     path = tmp_path / "s.txt"
     path.write_text("1 1 2 0.5\n", encoding="utf-8")
     assert main([*argv, "--updates", str(path)]) == 2
     assert named in _one_error_line(capsys)
+
+
+def test_module_entry_point_runs_and_rejects_bad_input(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("1 1 2 2.0\n2 2 3 2.0\n", encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "densestream", "run",
+                               "--updates", str(path), *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = module()
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines() == ["1 GAIN 2.000000000 1,2", "2 GAIN 2.000000000 2,3",
+                                      "2 GAIN 1.333333333 1,2,3"]
+    bad = module("--universe", "-5")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    err = bad.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--universe" in err[0], err
 
 
 def test_gen_spec_it_cannot_build_is_an_error_line(capsys):

@@ -131,7 +131,7 @@ def test_saturated_pair_grows_a_star_chain():
     g.ensure_universe(7)
     engine = DenseSubgraphEngine(cfg, g)
     engine.process_update(1, 3, 9.0, 1)
-    chains = {engine.index.vertices_of(n): d for n, d in engine.index.star_parents()}
+    chains = {n.vs: n.star_depth for n in engine.index.star_parents()}
     assert chains[(1, 3)] == 2  # 9.0 clears the 3- and 4-vertex bars
     truth = brute_force_dense(g, cfg, strategy="both")
     assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []

@@ -45,9 +45,9 @@ def test_reinsert_updates_meta_in_place():
 
 def test_inverted_list_holds_exactly_the_max_vertex_nodes():
     idx = build_five_set_index()
-    on_five = {idx.vertices_of(n) for n in idx.inverted_list(5)}
+    on_five = {n.vs for n in idx.inverted_list(5)}
     assert on_five == {(1, 3, 5), (3, 4, 5), (4, 5)}
-    on_three = {idx.vertices_of(n) for n in idx.inverted_list(3)}
+    on_three = {n.vs for n in idx.inverted_list(3)}
     assert on_three == {(1, 3), (3,)}
 
 
@@ -64,7 +64,7 @@ def test_extend_lookup_with_larger_vertex_is_one_probe():
     before = idx.child_probes
     found = idx.extend_lookup(handle, 4)
     assert idx.child_probes == before + 1
-    assert idx.vertices_of(found) == (1, 3, 4)
+    assert found.vs == (1, 3, 4)
 
 
 def test_extend_lookup_with_smaller_vertex_rewalks():
@@ -118,7 +118,7 @@ def test_iterate_containing_visits_each_set_once():
         [(1, 3), (1, 3, 4), (1, 3, 5), (3, 4, 5), (4, 5)])
     assert len(visited) == len(set(visited))
     for vs, node in idx.iterate_containing(1, 5):
-        assert idx.vertices_of(node) == vs
+        assert idx.find(vs) is node
 
 
 def test_iterate_containing_empty_and_single():
@@ -142,7 +142,7 @@ def test_star_chain_mark_and_unmark():
     assert STAR in node.children
     stars = list(idx.inverted_list(STAR))
     assert len(stars) == 1
-    assert idx.vertices_of(stars[0]) == (1, 3)
+    assert stars[0].vs == (1, 3)
     idx.audit()
     idx.set_star_depth(node, 0)
     assert STAR not in node.children
@@ -175,7 +175,7 @@ def test_star_parents_deduplicates_chains():
     idx = build_five_set_index()
     idx.set_star_depth(idx.entry((1, 3)), 2)
     idx.set_star_depth(idx.entry((4, 5)), 1)
-    parents = {idx.vertices_of(n): d for n, d in idx.star_parents()}
+    parents = {n.vs: n.star_depth for n in idx.star_parents()}
     assert parents == {(1, 3): 2, (4, 5): 1}
 
 
@@ -193,9 +193,9 @@ def test_star_parents_lists_the_most_recently_deepened_core_first():
     x, y = idx.entry((1, 3)), idx.entry((4, 5))
     idx.set_star_depth(x, 1)
     idx.set_star_depth(y, 1)
-    assert [n for n, _d in idx.star_parents()] == [y, x]
+    assert list(idx.star_parents()) == [y, x]
     idx.set_star_depth(x, 2)
-    assert list(idx.star_parents()) == [(x, 2), (y, 1)]
+    assert [(n, n.star_depth) for n in idx.star_parents()] == [(x, 2), (y, 1)]
 
 
 def test_audit_rejects_a_marker_without_a_depth():
@@ -204,6 +204,19 @@ def test_audit_rejects_a_marker_without_a_depth():
     idx.set_star_depth(node, 1)
     node.star_depth = 0
     with pytest.raises(AssertionError, match="marker without a depth"):
+        idx.audit()
+
+
+def test_audit_rejects_a_vertex_tuple_off_its_path():
+    idx = build_five_set_index()
+    idx.entry((1, 3)).vs = (1, 4)
+    with pytest.raises(AssertionError, match="not the node's path"):
+        idx.audit()
+    idx = build_five_set_index()
+    node = idx.entry((1, 3))
+    idx.set_star_depth(node, 1)
+    node.children[STAR].vs = tuple(list(node.vs))  # equal, but not the core's tuple
+    with pytest.raises(AssertionError, match="holds its core's tuple"):
         idx.audit()
 
 
@@ -232,12 +245,50 @@ def _random_index(rng: random.Random):
     return idx, sets, starred
 
 
+def _path(node) -> tuple[int, ...]:
+    labels = []
+    while node.label is not None:
+        if node.label is not STAR:
+            labels.append(node.label)
+        node = node.parent
+    return tuple(reversed(labels))
+
+
+def _reference_containing(idx, a, b) -> list:
+    """iterate_containing's order, written out: b's inverted list newest
+    first, each subtree pre-order by ascending label (a marker after its
+    core's subtree), then a's list pruned at b, then the markers whose core
+    holds neither endpoint, newest-deepened first."""
+    out = []
+
+    def walk(node, prune) -> None:
+        if node.label == prune:
+            return
+        if node.label is STAR or node.score is not None:
+            out.append((_path(node), node))
+        for label in sorted(node.children):
+            walk(node.children[label], prune)
+
+    for node in idx.inverted_list(b):
+        walk(node, None)
+    for node in idx.inverted_list(a):
+        walk(node, b)
+    for marker in idx.inverted_list(STAR):
+        core = _path(marker)
+        if a not in core and b not in core:
+            out.append((core, marker))
+    return out
+
+
 def test_exactly_once_traversal_over_random_states():
     rng = random.Random(321)
     for _ in range(1000):
         idx, sets, starred = _random_index(rng)
         universe = max(max(vs) for vs in sets)
         a, b = sorted(rng.sample(range(1, universe + 2), 2))
+        # event order follows these walk orders
+        assert list(idx.items()) == [(vs, idx.entry(vs)) for vs in sorted(sets)]
+        assert list(idx.iterate_containing(a, b)) == _reference_containing(idx, a, b)
         visited_sets = []
         visited_stars = []
         for vs, node in idx.iterate_containing(a, b):
