@@ -12,7 +12,10 @@ which each set admitted during the update was found, and a set indexed
 before the update that holds both endpoints is never probed: the update
 re-scores it and grows from it, and it has no round in this update, so a
 probe could only count itself.  This rests on the index, not on pre-update
-scores, so it is exact with star cores too.
+scores, so it is exact with star cores too.  An increase removes nothing,
+so such a set is an indexed node with no round: one child read for an
+extension above the set's last vertex.  Growth builds no merged
+neighborhood; a probe sums its one coordinate in the same order.
 
 Sets dense enough to absorb any further vertex for free carry a ``*``
 marker and a star depth k: they stand for every extension by up to k
@@ -38,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .density import EPS, DensityConfig
 from .graph import EdgeUpdate, WeightedGraph
@@ -79,6 +82,10 @@ class DenseSubgraphEngine:
     def __init__(self, cfg: DensityConfig, graph: Optional[WeightedGraph] = None,
                  star_mode: bool = True, iteration_cap: Optional[int] = None):
         self.cfg = cfg
+        # S(n) and T_n - EPS by cardinality, and T - EPS: DensityConfig's tests, unchecked
+        self._sizes = cfg._sizes
+        self._bars = tuple(t - EPS for t in cfg._thresholds)
+        self._out_bar = cfg.threshold - EPS
         self.graph = graph if graph is not None else WeightedGraph()
         self.index = SubgraphIndex(validator=cfg.is_dense)
         self.star_mode = star_mode
@@ -137,9 +144,7 @@ class DenseSubgraphEngine:
         With ``expand`` the star-implied supersets are enumerated as well;
         the expanded views are the ones compared against the oracle.
         """
-        cfg = self.cfg
-        sizes = cfg._sizes
-        bar = cfg.threshold - EPS
+        sizes, bar = self._sizes, self._out_bar
         dense: dict[tuple[int, ...], float] = {}
         output: dict[tuple[int, ...], float] = {}
         for vs, node in self.index.items():
@@ -173,7 +178,7 @@ class DenseSubgraphEngine:
 
     def _free_candidates(self, vs: tuple[int, ...]) -> list[int]:
         n = self.graph.num_vertices
-        taken = set(vs).union(*map(self.graph.neighbors, vs))
+        taken = self.graph.adjacent(vs).union(vs)
         if len(taken) == n:
             return []
         return [y for y in range(1, n + 1) if y not in taken]
@@ -216,16 +221,16 @@ class DenseSubgraphEngine:
 
     def _negative(self) -> None:
         a, b = self._lo, self._hi
-        cfg = self.cfg
+        sizes, bars, out_bar = self._sizes, self._bars, self._out_bar
         victims = list(self.index.iterate_containing_both(a, b))
         for vs, node in victims:
             card = len(vs)
             s_new = node.score + self._delta
-            if cfg.is_dense(card, s_new):
+            if s_new / sizes[card] >= bars[card]:
                 self._rescore(node, vs)
                 continue
-            if cfg.is_output_dense(card, node.score):
-                self._emit(LOSE, vs, cfg.density(card, s_new))
+            if node.score / sizes[card] >= out_bar:
+                self._emit(LOSE, vs, s_new / sizes[card])
             self._dirty.discard(node)
             self.index.remove(node)
 
@@ -245,7 +250,7 @@ class DenseSubgraphEngine:
             if ina and inb:
                 work.append((node, vs, None))
                 known.add(vs)
-            elif ina or inb:
+            elif len(vs) < self.cfg.n_max:  # one endpoint, and room for the other
                 work.append((node, vs, b if ina else a))
 
         # Re-score sets containing both endpoints; report threshold crossings.
@@ -273,39 +278,37 @@ class DenseSubgraphEngine:
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
         """Grow around a set containing both endpoints (round ``i``).
 
-        Extensions in ``_known`` (indexed before the update) are not probed.
+        Extensions indexed before the update are not probed; only a probed
+        extension gets its coordinate of the merged neighborhood.
         """
-        cfg = self.cfg
         card = len(vs)
-        if card >= cfg.n_max:
+        if card >= self.cfg.n_max:
             return
         score = node.score
-        if cfg.is_dense(card + 1, score - self._delta):
+        size, bar = self._sizes[card + 1], self._bars[card + 1]
+        if (score - self._delta) / size >= bar:
             return  # could absorb any vertex before the update: supersets known
         if i > self._budget:
             return
         self.stats.explore_calls += 1
-        idx = self.index
-        known = self._known
-        gamma = self.graph.merged_neighborhood(vs)
-        for y in sorted(gamma):
-            evs = _with(vs, y)
-            if evs not in known:
-                self._probe(evs, score + gamma[y], i, idx.extend_lookup(node, y))
-        if (cfg.is_dense(card + 1, score) and card + 2 <= cfg.n_max
-                and i + 1 <= self._budget):
+        members = set(vs)  # the order merged_neighborhood sums in
+        for y in sorted(self.graph.adjacent(vs)):
+            ext = self._new_extension(node, vs, y)
+            if ext is not None:
+                self._probe(ext[0], score + self._coordinate(members, y), i, ext[1])
+        if score / size >= bar and card + 2 <= self.cfg.n_max and i + 1 <= self._budget:
             # Newly able to absorb any vertex: extensions by a disconnected
             # vertex are covered by the star marker, but pairs joined by an
             # edge not touching the set contribute weight and must be seeded.
-            self._probe_edge_pairs(vs, score, gamma, i + 1)
+            self._probe_edge_pairs(vs, score, i + 1)
 
-    def _probe_edge_pairs(self, vs: tuple[int, ...], score: float,
-                          gamma: dict[int, float], i: int) -> None:
+    def _probe_edge_pairs(self, vs: tuple[int, ...], score: float, i: int) -> None:
         """Probe ``vs`` plus both endpoints of every edge disjoint from it.
 
-        ``gamma`` is the merged neighborhood of ``vs``; edges are visited in
-        sorted order so that discovery (and event) order is deterministic.
+        Edges are visited in sorted order so that discovery (and event)
+        order is deterministic.
         """
+        gamma = self.graph.merged_neighborhood(vs)
         members = set(vs)
         for y, z, w in sorted(self.graph.edges()):
             if y in members or z in members:
@@ -313,28 +316,40 @@ class DenseSubgraphEngine:
             s = score + gamma.get(y, 0.0) + gamma.get(z, 0.0) + w
             self._probe(_with(_with(vs, y), z), s, i)
 
-    def _coordinate(self, vs: tuple[int, ...], y: int) -> float:
-        """Total weight between a vertex set and one outside vertex."""
+    def _coordinate(self, vs: Iterable[int], y: int) -> float:
+        """Total weight between a vertex set and one outside vertex, summed from
+        0.0 in ``vs``'s order: over ``set(vs)``, ``merged_neighborhood(vs)[y]``."""
         row = self.graph.neighbors(y)
-        return sum([row.get(v, 0.0) for v in vs])
+        total = 0.0
+        for v in vs:
+            total += row.get(v, 0.0)
+        return total
+
+    def _new_extension(self, node: _Node, vs: tuple[int, ...], y: int
+                       ) -> Optional[tuple[tuple[int, ...], Optional[_Node]]]:
+        """``(vs + y, its tree node or None)``, or None if ``vs + y`` was indexed
+        before the update: for y above ``vs[-1]`` an indexed child with no
+        round, else a tuple in ``_known``."""
+        if y > vs[-1]:
+            target = self.index.extend_lookup(node, y)
+            if target is not None and target.score is not None and target not in self._round:
+                return None
+            return vs + (y,), target
+        evs = _with(vs, y)
+        if evs in self._known:
+            return None
+        return evs, self.index.extend_lookup(node, y)
 
     def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
-        """Augment a one-endpoint set with the other, unless ``_known`` holds it."""
-        cfg = self.cfg
+        """Augment a one-endpoint set with the other, unless that set was
+        indexed before the update."""
         card = len(vs)
-        if card + 1 > cfg.n_max:
-            return
-        if cfg.is_dense(card + 1, node.score):
+        if node.score / self._sizes[card + 1] >= self._bars[card + 1]:
             return  # was too dense before: its supersets were already known
         self.stats.cheap_explores += 1
-        evs = _with(vs, other)
-        if evs in self._known:
-            return
-        target = self.index.extend_lookup(node, other)
-        if target is not None and target.score is not None:
-            self._probe(evs, 0.0, 1, node=target)  # score unused: already indexed
-        else:
-            self._probe(evs, node.score + self._coordinate(vs, other), 1, node=target)
+        ext = self._new_extension(node, vs, other)
+        if ext is not None:
+            self._probe(ext[0], node.score + self._coordinate(vs, other), 1, ext[1])
 
     def _star_scan(self, node: _Node, vs: tuple[int, ...]) -> None:
         """Reconcile one star core with the update.
@@ -348,24 +363,24 @@ class DenseSubgraphEngine:
         core are probed, which only matters while the star depth is exactly
         one (deeper coverage means those supersets were dense already).
         """
-        cfg = self.cfg
         card, score = len(vs), node.score
+        n_max = self.cfg.n_max
         self.stats.star_scans += 1
         a, b = self._lo, self._hi
         ina, inb = a in vs, b in vs
         if ina and inb:
-            if card + 2 > cfg.n_max:
+            if card + 2 > n_max:
                 return
-            if cfg.free_extension_depth(card, score - self._delta) != 1:
+            if self._free_depth(card, score - self._delta) != 1:
                 return
-            self._probe_edge_pairs(vs, score, self.graph.merged_neighborhood(vs), 1)
+            self._probe_edge_pairs(vs, score, 1)
         elif ina or inb:
             other = b if ina else a
             if self._coordinate(vs, other) == self._delta:
                 # the update created other's first link to this core
                 self._probe(_with(vs, other), score + self._delta, 1)
         else:
-            if card + 2 > cfg.n_max:
+            if card + 2 > n_max:
                 return
             if self._coordinate(vs, a) == 0.0 and self._coordinate(vs, b) == 0.0:
                 s = score + self.graph.weight(a, b)
@@ -392,21 +407,22 @@ class DenseSubgraphEngine:
                 self._round[node] = i
                 self._explore(node, vs, i + 1)
             return
-        if self.cfg.is_dense(len(vs), score):
+        card = len(vs)
+        if score / self._sizes[card] >= self._bars[card]:
             self._admit(vs, score, i)
         else:
             self.stats.rejected_probes += 1
 
     def _admit(self, vs: tuple[int, ...], score: float, i: int) -> None:
-        cfg = self.cfg
         card = len(vs)
+        size = self._sizes[card]
         # Dense before the update but never materialized (it was covered by a
         # star marker): treat like any other stored stable set from here on.
-        stable = cfg.is_dense(card, score - self._delta)
+        stable = (score - self._delta) / size >= self._bars[card]
         node = self.index.insert(vs, score)
         self._round[node] = 0 if stable else i
-        if cfg.is_output_dense(card, score):
-            self._emit(GAIN, vs, cfg.density(card, score))
+        if score / size >= self._out_bar:
+            self._emit(GAIN, vs, score / size)
         self._maintain_closure(node, vs)
         self._explore(node, vs, 1 if stable else i + 1)
 
@@ -415,15 +431,22 @@ class DenseSubgraphEngine:
     def _rescore(self, node: _Node, vs: tuple[int, ...]) -> None:
         """Shift a kept set's score by the update, report a crossing of the
         output bar, and refresh its star depth."""
-        cfg, card = self.cfg, len(vs)
-        was_out = cfg.is_output_dense(card, node.score)
+        size = self._sizes[len(vs)]
+        was_out = node.score / size >= self._out_bar
         node.score += self._delta
-        if cfg.is_output_dense(card, node.score) != was_out:
-            self._emit(LOSE if was_out else GAIN, vs, cfg.density(card, node.score))
+        if (node.score / size >= self._out_bar) != was_out:
+            self._emit(LOSE if was_out else GAIN, vs, node.score / size)
         self._maintain_closure(node, vs)
 
+    def _free_depth(self, card: int, score: float) -> int:
+        """``DensityConfig.free_extension_depth`` from the engine's tables."""
+        n, sizes, bars = card, self._sizes, self._bars
+        while n + 1 < len(bars) and score / sizes[n + 1] >= bars[n + 1]:
+            n += 1
+        return n - card
+
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
-        depth = self.cfg.free_extension_depth(len(vs), node.score)
+        depth = self._free_depth(len(vs), node.score)
         if depth != node.star_depth:
             grew = depth > node.star_depth
             self.index.set_star_depth(node, depth)
@@ -432,7 +455,6 @@ class DenseSubgraphEngine:
 
     def _expand_implied(self) -> None:
         """Explicit mode: materialize every star-implied set as an entry."""
-        cfg = self.cfg
         while self._dirty:
             batch = sorted(self._dirty, key=attrgetter("vs"))
             self._dirty.clear()
@@ -445,6 +467,7 @@ class DenseSubgraphEngine:
                     if enode is not None and enode.score is not None:
                         continue
                     newn = self.index.insert(evs, score)
-                    if cfg.is_output_dense(len(evs), score):
-                        self._emit(GAIN, evs, cfg.density(len(evs), score))
+                    d = score / self._sizes[len(evs)]
+                    if d >= self._out_bar:
+                        self._emit(GAIN, evs, d)
                     self._maintain_closure(newn, evs)

@@ -125,6 +125,11 @@ class WeightedGraph:
                         merged[y] = get(y, 0.0) + w
         return merged
 
+    def adjacent(self, vertices: Iterable[int]) -> set[int]:
+        """The keys of ``merged_neighborhood``, with no coordinate summed."""
+        members = set(vertices)
+        return members.union(*[self._adj.get(v, ()) for v in members]) - members
+
     def subgraph_score(self, vertices: Iterable[int]) -> float:
         """Sum of the weights of all pairs inside the set."""
         members = list(vertices)

@@ -1,10 +1,12 @@
 import hashlib
+import math
 import random
 
 import pytest
 
 from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
-                         WeightedGraph, delta_it_upper)
+                         SyntheticSpec, WeightedGraph, delta_it_upper, generate)
+from densestream.density import EPS
 from densestream.index import STAR
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
@@ -223,6 +225,57 @@ def test_expanded_view_filters_output_density():
     assert (1, 2, 3) in dense and dense[(1, 2, 3)] == pytest.approx(2.5 / 3)
     assert (1, 2, 3) not in out
     assert set(out) == {(1, 2)}
+
+
+# -- the engine's own density tests and coordinates ------------------------------------
+
+@pytest.mark.parametrize("cfg", [
+    derived_cfg(0.4, 0.7, 8, DensityFamily.AVGWEIGHT),
+    derived_cfg(0.3, 1.0, 6, DensityFamily.AVGDEGREE),
+    derived_cfg(0.6, 1.4, 5, DensityFamily.SQRTDENS),
+    DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,
+                  explicit_thresholds=(0.9, 0.975, 1.0)),
+], ids=["avgweight", "avgdegree", "sqrtdens", "explicit"])
+def test_engine_density_tables_decide_as_the_config(cfg):
+    engine = DenseSubgraphEngine(cfg)
+    sizes, bars, out_bar = engine._sizes, engine._bars, engine._out_bar
+    cards = range(2, cfg.n_max + 1)
+    # each bar of the schedule, with and without the tolerance, a step either side
+    scores = []
+    for m in cards:
+        for t in (cfg.threshold_for(m), cfg.threshold_for(m) - EPS):
+            s = t * cfg.family.size_weight(m)
+            scores += [math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)]
+    dense_outcomes = set()
+    for n in cards:
+        for s in scores:
+            dense = cfg.is_dense(n, s)
+            dense_outcomes.add(dense)
+            assert (s / sizes[n] >= bars[n]) == dense
+            assert (s / sizes[n] >= out_bar) == cfg.is_output_dense(n, s)
+            assert engine._free_depth(n, s) == cfg.free_extension_depth(n, s)
+    assert dense_outcomes == {True, False}
+
+
+def test_probed_coordinates_are_the_merged_neighborhoods_floats():
+    # Weights whose sums depend on the order of addition, and vertex ids up
+    # to 40, so that a set's iteration order is not its sorted order.
+    rng = random.Random(4242)
+    g = WeightedGraph()
+    engine = DenseSubgraphEngine(derived_cfg(), g)
+    order_matters = 0
+    for _ in range(300):
+        a, b = rng.sample(range(1, 41), 2)
+        g.apply_update(a, b, rng.choice((0.1, 0.2, 0.3, 1.0, 1e16)))
+    for _ in range(2000):
+        vs = tuple(sorted(rng.sample(range(1, 41), rng.randint(2, 6))))
+        merged = g.merged_neighborhood(vs)
+        assert g.adjacent(vs) == set(merged)
+        members = set(vs)
+        for y, w in merged.items():
+            assert engine._coordinate(members, y) == w
+            order_matters += engine._coordinate(vs, y) != w
+    assert order_matters  # the sorted order would have changed some floats
 
 
 # -- randomized equivalences -------------------------------------------------------------
@@ -449,6 +502,35 @@ def test_search_work_is_pinned_on_deep_star_replays(seed):
     st = _deep_star_run(seed, star_mode=seed % 5 != 4)[0].stats
     assert (st.probes, st.rejected_probes, st.explore_calls, st.cheap_explores,
             st.star_scans) == PINNED_REPLAY_WORK[seed]
+
+
+# One gated block of ten vertices at n_max 8, as dsbench's ``planted`` has two:
+# no set can absorb a free vertex, and from about update 1200 nearly every
+# subset up to n_max is indexed, so each update re-scores and grows hundreds
+# of sets through the materialized index alone.  The deep-star replays above
+# are star-heavy and never reach this regime.
+PLATEAU_SPEC = SyntheticSpec(vertex_count=200, update_count=2000, magnitude_max=0.15,
+                             planted_sets=1, planted_size=10, reject_too_dense=True,
+                             gate_threshold=0.7, gate_delta_it_fraction=0.4,
+                             gate_n_max=8, seed=5)
+# sha256 of the event lines and of the final state, taken from an engine
+# that built the merged neighborhood of every set it grew
+PINNED_PLATEAU_EVENTS = "6e2cd59a04c6263f494a039601c103dcf181cb6073bb0df6dda31ae7be08b5f6"
+PINNED_PLATEAU_STATE = "5b3b59831db36bbbc42f6c6a2f4f1b6800237aace6a3369bb2f8a474549f9689"
+
+
+def test_event_stream_is_pinned_on_a_star_free_plateau():
+    cfg = PLATEAU_SPEC.gate_config()
+    g = WeightedGraph(); g.ensure_universe(PLATEAU_SPEC.vertex_count)
+    engine = DenseSubgraphEngine(cfg, g)
+    events = hashlib.sha256()
+    for u in generate(PLATEAU_SPEC):
+        for ev in engine.process(u):
+            events.update(format_event(ev).encode() + b"\n")
+    assert not engine.has_too_dense() and len(engine.index) > 900
+    state = repr(sorted(engine.state_signature().items())).encode()
+    assert (events.hexdigest(), hashlib.sha256(state).hexdigest()) == (
+        PINNED_PLATEAU_EVENTS, PINNED_PLATEAU_STATE)
 
 
 # -- rejected updates leave no trace ---------------------------------------------------
