@@ -118,6 +118,11 @@ class DensityConfig:
             prev = tg
         object.__setattr__(self, "_sizes", tuple(sizes))
         object.__setattr__(self, "_thresholds", tuple(thresholds))
+        # The tolerant bars every density test compares against: T_n - EPS
+        # by cardinality and T - EPS.  Callers on hot paths (the engine, the
+        # oracle) compare score / _sizes[n] with them directly.
+        object.__setattr__(self, "_bars", tuple(t - EPS for t in thresholds))
+        object.__setattr__(self, "_out_bar", self.threshold - EPS)
 
     def _derive_threshold(self, n: int) -> float:
         if self.explicit_thresholds is not None:
@@ -148,11 +153,11 @@ class DensityConfig:
 
     def is_dense(self, card: int, score: float) -> bool:
         self._check_card(card)
-        return score / self._sizes[card] >= self._thresholds[card] - EPS
+        return score / self._sizes[card] >= self._bars[card]
 
     def is_output_dense(self, card: int, score: float) -> bool:
         self._check_card(card)
-        return score / self._sizes[card] >= self.threshold - EPS
+        return score / self._sizes[card] >= self._out_bar
 
     def free_extension_depth(self, card: int, score: float) -> int:
         """Largest k such that adding k zero-weight vertices stays dense.
@@ -161,14 +166,10 @@ class DensityConfig:
         even a disconnected one, is still dense.  Capped at n_max - card.
         """
         self._check_card(card)
-        k = 0
-        while card + k + 1 <= self.n_max:
-            n = card + k + 1
-            if score / self._sizes[n] >= self._thresholds[n] - EPS:
-                k += 1
-            else:
-                break
-        return k
+        n, sizes, bars = card, self._sizes, self._bars
+        while n < self.n_max and score / sizes[n + 1] >= bars[n + 1]:
+            n += 1
+        return n - card
 
     # -- exploration budget ---------------------------------------------------
 

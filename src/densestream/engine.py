@@ -12,10 +12,9 @@ which each set admitted during the update was found, and a set indexed
 before the update that holds both endpoints is never probed: the update
 re-scores it and grows from it, and it has no round in this update, so a
 probe could only count itself.  This rests on the index, not on pre-update
-scores, so it is exact with star cores too.  An increase removes nothing,
-so such a set is an indexed node with no round: one child read for an
-extension above the set's last vertex.  Growth builds no merged
-neighborhood; a probe sums its one coordinate in the same order.
+scores, so it is exact with star cores too.  Growth builds no merged
+neighborhood: it walks the adjacent vertices and sums a coordinate only for
+an extension it probes, in the order ``merged_neighborhood`` sums it.
 
 Sets dense enough to absorb any further vertex for free carry a ``*``
 marker and a star depth k: they stand for every extension by up to k
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .density import EPS, DensityConfig
+from .density import DensityConfig
 from .graph import EdgeUpdate, WeightedGraph
 from .index import STAR, SubgraphIndex, _Node
 
@@ -82,10 +81,8 @@ class DenseSubgraphEngine:
     def __init__(self, cfg: DensityConfig, graph: Optional[WeightedGraph] = None,
                  star_mode: bool = True, iteration_cap: Optional[int] = None):
         self.cfg = cfg
-        # S(n) and T_n - EPS by cardinality, and T - EPS: DensityConfig's tests, unchecked
-        self._sizes = cfg._sizes
-        self._bars = tuple(t - EPS for t in cfg._thresholds)
-        self._out_bar = cfg.threshold - EPS
+        # DensityConfig's tables, read here without its cardinality checks
+        self._sizes, self._bars, self._out_bar = cfg._sizes, cfg._bars, cfg._out_bar
         self.graph = graph if graph is not None else WeightedGraph()
         self.index = SubgraphIndex(validator=cfg.is_dense)
         self.star_mode = star_mode
@@ -178,7 +175,7 @@ class DenseSubgraphEngine:
 
     def _free_candidates(self, vs: tuple[int, ...]) -> list[int]:
         n = self.graph.num_vertices
-        taken = self.graph.adjacent(vs).union(vs)
+        taken = set(vs).union(*map(self.graph.neighbors, vs))
         if len(taken) == n:
             return []
         return [y for y in range(1, n + 1) if y not in taken]
@@ -278,8 +275,8 @@ class DenseSubgraphEngine:
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
         """Grow around a set containing both endpoints (round ``i``).
 
-        Extensions indexed before the update are not probed; only a probed
-        extension gets its coordinate of the merged neighborhood.
+        Extensions in ``_known`` (indexed before the update) are not probed;
+        only a probed extension gets its coordinate of the merged neighborhood.
         """
         card = len(vs)
         if card >= self.cfg.n_max:
@@ -291,11 +288,14 @@ class DenseSubgraphEngine:
         if i > self._budget:
             return
         self.stats.explore_calls += 1
+        idx = self.index
+        known = self._known
         members = set(vs)  # the order merged_neighborhood sums in
         for y in sorted(self.graph.adjacent(vs)):
-            ext = self._new_extension(node, vs, y)
-            if ext is not None:
-                self._probe(ext[0], score + self._coordinate(members, y), i, ext[1])
+            evs = _with(vs, y)
+            if evs not in known:
+                self._probe(evs, score + self._coordinate(members, y), i,
+                            idx.extend_lookup(node, y))
         if score / size >= bar and card + 2 <= self.cfg.n_max and i + 1 <= self._budget:
             # Newly able to absorb any vertex: extensions by a disconnected
             # vertex are covered by the star marker, but pairs joined by an
@@ -325,31 +325,16 @@ class DenseSubgraphEngine:
             total += row.get(v, 0.0)
         return total
 
-    def _new_extension(self, node: _Node, vs: tuple[int, ...], y: int
-                       ) -> Optional[tuple[tuple[int, ...], Optional[_Node]]]:
-        """``(vs + y, its tree node or None)``, or None if ``vs + y`` was indexed
-        before the update: for y above ``vs[-1]`` an indexed child with no
-        round, else a tuple in ``_known``."""
-        if y > vs[-1]:
-            target = self.index.extend_lookup(node, y)
-            if target is not None and target.score is not None and target not in self._round:
-                return None
-            return vs + (y,), target
-        evs = _with(vs, y)
-        if evs in self._known:
-            return None
-        return evs, self.index.extend_lookup(node, y)
-
     def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
-        """Augment a one-endpoint set with the other, unless that set was
-        indexed before the update."""
+        """Augment a one-endpoint set with the other, unless ``_known`` holds it."""
         card = len(vs)
         if node.score / self._sizes[card + 1] >= self._bars[card + 1]:
             return  # was too dense before: its supersets were already known
         self.stats.cheap_explores += 1
-        ext = self._new_extension(node, vs, other)
-        if ext is not None:
-            self._probe(ext[0], node.score + self._coordinate(vs, other), 1, ext[1])
+        evs = _with(vs, other)
+        if evs not in self._known:
+            self._probe(evs, node.score + self._coordinate(vs, other), 1,
+                        self.index.extend_lookup(node, other))
 
     def _star_scan(self, node: _Node, vs: tuple[int, ...]) -> None:
         """Reconcile one star core with the update.
@@ -371,7 +356,7 @@ class DenseSubgraphEngine:
         if ina and inb:
             if card + 2 > n_max:
                 return
-            if self._free_depth(card, score - self._delta) != 1:
+            if self.cfg.free_extension_depth(card, score - self._delta) != 1:
                 return
             self._probe_edge_pairs(vs, score, 1)
         elif ina or inb:
@@ -438,15 +423,8 @@ class DenseSubgraphEngine:
             self._emit(LOSE if was_out else GAIN, vs, node.score / size)
         self._maintain_closure(node, vs)
 
-    def _free_depth(self, card: int, score: float) -> int:
-        """``DensityConfig.free_extension_depth`` from the engine's tables."""
-        n, sizes, bars = card, self._sizes, self._bars
-        while n + 1 < len(bars) and score / sizes[n + 1] >= bars[n + 1]:
-            n += 1
-        return n - card
-
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
-        depth = self._free_depth(len(vs), node.score)
+        depth = self.cfg.free_extension_depth(len(vs), node.score)
         if depth != node.star_depth:
             grew = depth > node.star_depth
             self.index.set_star_depth(node, depth)

@@ -45,7 +45,7 @@ class Discrepancy:
 def _levelwise(graph: WeightedGraph, cfg: DensityConfig) -> dict[tuple[int, ...], float]:
     n_univ = graph.num_vertices
     sizes = cfg._sizes
-    bars = [t - EPS for t in cfg._thresholds]
+    bars = cfg._bars
     dense: dict[tuple[int, ...], float] = {}  # set -> density
     # level: bitmask of a dense set -> (sorted vertices, score)
     level: dict[int, tuple[tuple[int, ...], float]] = {}
@@ -117,7 +117,7 @@ def brute_force_dense(graph: WeightedGraph, cfg: DensityConfig,
             raise AssertionError("oracle strategies disagree")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    output = {vs: d for vs, d in dense.items() if d >= cfg.threshold - EPS}
+    output = {vs: d for vs, d in dense.items() if d >= cfg._out_bar}
     return OracleResult(dense=dense, output_dense=output)
 
 

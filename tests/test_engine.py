@@ -239,6 +239,7 @@ def test_expanded_view_filters_output_density():
 def test_engine_density_tables_decide_as_the_config(cfg):
     engine = DenseSubgraphEngine(cfg)
     sizes, bars, out_bar = engine._sizes, engine._bars, engine._out_bar
+    family = cfg.family
     cards = range(2, cfg.n_max + 1)
     # each bar of the schedule, with and without the tolerance, a step either side
     scores = []
@@ -252,8 +253,13 @@ def test_engine_density_tables_decide_as_the_config(cfg):
             dense = cfg.is_dense(n, s)
             dense_outcomes.add(dense)
             assert (s / sizes[n] >= bars[n]) == dense
-            assert (s / sizes[n] >= out_bar) == cfg.is_output_dense(n, s)
-            assert engine._free_depth(n, s) == cfg.free_extension_depth(n, s)
+            assert dense == (s / family.size_weight(n) >= cfg.threshold_for(n) - EPS)
+            output = s / family.size_weight(n) >= cfg.threshold - EPS
+            assert (s / sizes[n] >= out_bar) == cfg.is_output_dense(n, s) == output
+            depth = 0
+            while n + depth < cfg.n_max and cfg.is_dense(n + depth + 1, s):
+                depth += 1
+            assert cfg.free_extension_depth(n, s) == depth
     assert dense_outcomes == {True, False}
 
 
