@@ -1,13 +1,15 @@
 """Incremental maintenance of every dense vertex set under weight updates.
 
-One update is processed at a time (strict discrete-time semantics).  For a
-weight decrease, every indexed set containing both endpoints is re-scored
-and evicted if it fell below its cardinality threshold.  For an increase,
-the engine re-scores those sets and then searches outward for sets that
-newly crossed their threshold: the updated pair itself, indexed sets holding
-one endpoint augmented with the other (the cheap step), and
-neighbor-by-neighbor growth around sets holding both, bounded by
-ceil(delta / delta_it) rounds.  Re-exploration is suppressed by the round at
+One update is processed at a time (strict discrete-time semantics).  Scores
+move by the weight change the graph stored: a weight the graph clamps to 0
+moves them by minus the weight it had, so an increase too small to store is
+a no-op.  For a weight decrease, every indexed set containing both
+endpoints is re-scored and evicted if it fell below its cardinality
+threshold.  For an increase, the engine re-scores those sets and then
+searches outward for sets that newly crossed their threshold: the updated
+pair itself, indexed sets holding one endpoint augmented with the other
+(the cheap step), and neighbor-by-neighbor growth around sets holding
+both, bounded by ceil(delta / delta_it) rounds.  Re-exploration is suppressed by the round at
 which each set admitted during the update was found, and a set indexed
 before the update that holds both endpoints is never probed: the update
 re-scores it and grows from it, and it has no round in this update, so a
@@ -26,8 +28,9 @@ non-adjacent pair gained an edge) and seeds growth around cores whose
 supersets cannot be reached through materialized entries alone.
 
 With ``star_mode=False`` the implied sets are expanded into explicit index
-entries after every update instead (the representation the star encoding
-replaces); views are identical, the cost is not.
+entries after every update instead, also after one that only grew the
+universe (the representation the star encoding replaces); views are
+identical, the cost is not.
 
 Events track the *materialized* answer set: a GAIN or LOSE is emitted
 exactly when a stored set enters or leaves the output-dense set.  Supersets
@@ -113,21 +116,25 @@ class DenseSubgraphEngine:
             self._budget = (self.iteration_cap if self.iteration_cap is not None
                             else self.cfg.iteration_budget(delta))
         prev_universe = self.graph.num_vertices
-        _, w_after = self.graph.apply_update(a, b, delta)
+        w_before, w_after = self.graph.apply_update(a, b, delta)
+        if w_after == 0.0:
+            delta = -w_before  # the graph clamped the weight: scores follow it
         self.stats.updates += 1
         self._events = []
+        self._seq = seq
         if delta != 0.0:
             self._round = {}  # only this update's sets are read; this frees the rest
-            self._seq = seq
             self._lo, self._hi = (a, b) if a < b else (b, a)
             self._delta = delta
             self._w_after = w_after
             if delta < 0:
                 self._negative()
             else:
-                self._positive(prev_universe)
-            if not self.star_mode:
-                self._expand_implied()
+                self._positive()
+        if not self.star_mode:
+            if self.graph.num_vertices > prev_universe:
+                self._dirty.update(self.index.star_parents())
+            self._expand_implied()
         if len(self.index) > self.stats.peak_entries:
             self.stats.peak_entries = len(self.index)
         events = self._events
@@ -136,29 +143,23 @@ class DenseSubgraphEngine:
 
     def snapshot_views(self, expand: bool = True) -> tuple[
             dict[tuple[int, ...], float], dict[tuple[int, ...], float]]:
-        """(dense view, output-dense view) between updates, in one pass.
+        """(dense view, output-dense view) between updates.
 
-        With ``expand`` the star-implied supersets are enumerated as well;
-        the expanded views are the ones compared against the oracle.
+        The dense view lists the indexed sets, then, with ``expand``, the
+        star-implied supersets no entry stores; the output-dense view is the
+        dense view's sets that clear the output bar, in the same order.  The
+        expanded views are the ones compared against the oracle.
         """
-        sizes, bar = self._sizes, self._out_bar
-        dense: dict[tuple[int, ...], float] = {}
-        output: dict[tuple[int, ...], float] = {}
-        for vs, node in self.index.items():
-            d = node.score / sizes[len(vs)]
-            dense[vs] = d
-            if d >= bar:
-                output[vs] = d
+        sizes = self._sizes
+        dense = {vs: node.score / sizes[len(vs)] for vs, node in self.index.items()}
         if expand and self.star_mode:
             for core in self.index.star_parents():
                 score = core.score
                 for evs in self._implied_sets(core.vs, core.star_depth):
                     if evs not in dense:
-                        d = score / sizes[len(evs)]
-                        dense[evs] = d
-                        if d >= bar:
-                            output[evs] = d
-        return dense, output
+                        dense[evs] = score / sizes[len(evs)]
+        bar = self._out_bar
+        return dense, {vs: d for vs, d in dense.items() if d >= bar}
 
     def snapshot_output_dense(self, expand: bool = True) -> dict[tuple[int, ...], float]:
         return self.snapshot_views(expand)[1]
@@ -228,18 +229,16 @@ class DenseSubgraphEngine:
                 continue
             if node.score / sizes[card] >= out_bar:
                 self._emit(LOSE, vs, s_new / sizes[card])
-            self._dirty.discard(node)
             self.index.remove(node)
 
     # -- positive updates ------------------------------------------------------------------
 
-    def _positive(self, prev_universe: int) -> None:
+    def _positive(self) -> None:
         a, b = self._lo, self._hi
-        idx = self.index
         work: list[tuple[_Node, tuple[int, ...], Optional[int]]] = []
         cores: list[tuple[_Node, tuple[int, ...]]] = []
         self._known = known = set()  # indexed before the update, holding both endpoints
-        for vs, node in list(idx.iterate_containing(a, b)):
+        for vs, node in list(self.index.iterate_containing(a, b)):
             if node.label is STAR:
                 cores.append((node.parent, vs))
                 continue
@@ -268,9 +267,6 @@ class DenseSubgraphEngine:
         # Maintenance of star-implied sets whose membership this update changed.
         for node, vs in cores:
             self._star_scan(node, vs)
-
-        if not self.star_mode and self.graph.num_vertices > prev_universe:
-            self._dirty.update(idx.star_parents())
 
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
         """Grow around a set containing both endpoints (round ``i``).
@@ -438,8 +434,6 @@ class DenseSubgraphEngine:
             self._dirty.clear()
             for node in batch:
                 score = node.score
-                if score is None or node.star_depth == 0:
-                    continue
                 for evs in self._implied_sets(node.vs, node.star_depth):
                     enode = self.index.find(evs)
                     if enode is not None and enode.score is not None:

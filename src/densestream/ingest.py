@@ -35,7 +35,9 @@ too.  A post entity below 5 visits only its weighted partners; any other
 visits its hot partners and its weighted ones, in sorted order.  A
 skipped pair would have weighed 0 and emitted nothing, and the visited
 pairs keep their order, so the emitted stream is the one of visiting every
-partner.
+partner.  A pair of two post entities is weighed once, from the smaller:
+a weighted pair is listed from both sides, and an unweighted pair the
+larger visits has both entities hot, so the smaller visited it first.
 
 Retirement is exact: a retired entity stays below 5 until its next post
 re-adds it, because its decayed count never rises between touches.  That
@@ -292,7 +294,8 @@ class DocumentIngestor:
 
         Emits one update per pair whose weight moved by more than the
         tolerance, with consecutive sequence numbers.  A rejected document
-        changes nothing.
+        changes nothing.  A pair of two post entities is weighed from the
+        smaller one only.
 
         Under llr a post entity e visits its weighted partners and, when its
         own support is at least 5, its hot partners, in sorted order.  A
@@ -303,7 +306,8 @@ class DocumentIngestor:
         partner.
         """
         counts = self.counts
-        ents = sorted(set(entities))
+        posted = set(entities)
+        ents = sorted(posted)
         counts.observe(t, ents)  # first, so a rejected document registers nothing
         for e in ents:
             self.dictionary.id_for(e)  # ids follow first appearance, not first edge
@@ -320,8 +324,7 @@ class DocumentIngestor:
                     hot.discard(e)
         weights = self._weights
         updates: list[EdgeUpdate] = []
-        recomputed: set[tuple[str, str]] = set()
-        tabled = 0
+        reweighed = tabled = 0
         for e in ents:
             k_e = counts.occurrence(e, t)
             closed = gated and k_e < LLR_MIN_SUPPORT
@@ -333,9 +336,8 @@ class DocumentIngestor:
                 visit = counts.partners(e) & hot  # iterates the smaller side
                 visit.update(weights.get(e, ()))
             for x in sorted(visit):
-                key = (e, x) if e <= x else (x, e)
-                if key in recomputed:
-                    continue
+                if x < e and x in posted:
+                    continue  # weighed from x
                 row = weights.get(e)
                 old_w = 0.0 if row is None else row.get(x, 0.0)
                 new_w = 0.0
@@ -348,17 +350,18 @@ class DocumentIngestor:
                     else:
                         tabled += 1
                         k11 = counts.cooccurrence(e, x, t)
-                        # k1 is the occurrence of key[0]: the table is not
-                        # symmetric in floating point
-                        new_w = (table_weight(measure, n, k_e, k_x, k11) if e == key[0]
+                        # k1 is the occurrence of the smaller entity: the
+                        # table is not symmetric in floating point
+                        new_w = (table_weight(measure, n, k_e, k_x, k11) if e < x
                                  else table_weight(measure, n, k_x, k_e, k11))
-                recomputed.add(key)
+                reweighed += 1
                 if abs(new_w - old_w) > EPS:
+                    lo, hi = (e, x) if e < x else (x, e)
                     self._seq += 1
                     updates.append(EdgeUpdate(
                         self._seq,
-                        self.dictionary.id_for(key[0]),
-                        self.dictionary.id_for(key[1]),
+                        self.dictionary.id_for(lo),
+                        self.dictionary.id_for(hi),
                         new_w - old_w,
                     ))
                     if new_w == 0.0:
@@ -367,7 +370,7 @@ class DocumentIngestor:
                     else:
                         weights.setdefault(e, {})[x] = new_w
                         weights.setdefault(x, {})[e] = new_w
-        self.pairs_reweighed += len(recomputed)
+        self.pairs_reweighed += reweighed
         self.pairs_tabled += tabled
         self.updates_emitted += len(updates)
         return updates

@@ -111,10 +111,10 @@ def brute_force_dense(graph: WeightedGraph, cfg: DensityConfig,
         dense = _exhaustive(graph, cfg)
     elif strategy == "both":
         dense = _levelwise(graph, cfg)
-        other = _exhaustive(graph, cfg)
-        if set(dense) != set(other) or any(
-                abs(dense[k] - other[k]) > EPS for k in dense):
-            raise AssertionError("oracle strategies disagree")
+        found = diff(dense, _exhaustive(graph, cfg))
+        if found:
+            raise AssertionError(
+                f"oracle strategies disagree (levelwise vs exhaustive): {found[0]}")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     output = {vs: d for vs, d in dense.items() if d >= cfg._out_bar}
@@ -123,23 +123,18 @@ def brute_force_dense(graph: WeightedGraph, cfg: DensityConfig,
 
 def diff(engine_view: dict[tuple[int, ...], float],
          oracle_view: dict[tuple[int, ...], float]) -> list[Discrepancy]:
-    """Discrepancies between two set->density views; empty means equivalent."""
-    out: list[Discrepancy] = []
-    if engine_view.keys() == oracle_view.keys():
-        for vs in sorted(vs for vs, d in engine_view.items()
-                         if abs(d - oracle_view[vs]) > EPS):
-            out.append(Discrepancy(
-                "density", vs,
-                f"engine {engine_view[vs]:.9f} vs oracle {oracle_view[vs]:.9f}"))
-        return out
-    for vs in sorted(oracle_view.keys() - engine_view.keys()):
-        out.append(Discrepancy("missing", vs, f"expected density {oracle_view[vs]:.9f}"))
-    for vs in sorted(engine_view.keys() - oracle_view.keys()):
-        out.append(Discrepancy("extra", vs, f"engine density {engine_view[vs]:.9f}"))
-    for vs in sorted(engine_view.keys() & oracle_view.keys()):
-        d = abs(engine_view[vs] - oracle_view[vs])
-        if d > EPS:
-            out.append(Discrepancy(
-                "density", vs,
-                f"engine {engine_view[vs]:.9f} vs oracle {oracle_view[vs]:.9f}"))
+    """Discrepancies between two set->density views; empty means equivalent.
+
+    Missing sets come first, then extra ones, then density drift on the
+    shared sets, each kind sorted.
+    """
+    out = [Discrepancy("missing", vs, f"expected density {oracle_view[vs]:.9f}")
+           for vs in sorted(oracle_view.keys() - engine_view.keys())]
+    out += [Discrepancy("extra", vs, f"engine density {engine_view[vs]:.9f}")
+            for vs in sorted(engine_view.keys() - oracle_view.keys())]
+    drifted = sorted(vs for vs, d in engine_view.items()
+                     if vs in oracle_view and abs(d - oracle_view[vs]) > EPS)
+    out += [Discrepancy("density", vs,
+                        f"engine {engine_view[vs]:.9f} vs oracle {oracle_view[vs]:.9f}")
+            for vs in drifted]
     return out

@@ -9,7 +9,7 @@ zero-weight target pair is redrawn, a partial weight clamps the magnitude.
 With ``reject_too_dense`` a shadow engine replays every candidate and
 discards (resampling in place, so the stream length is preserved) any update
 that would create a set dense enough to absorb arbitrary vertices under the
-gate parameters.
+gate parameters (avgweight family).
 
 Deltas are quantized to 9 decimals before being applied to the generator's
 own bookkeeping, so a written stream replays bit-identically.
@@ -67,7 +67,6 @@ class SyntheticSpec:
     planted_sets: int = 100
     planted_size: int = 10
     reject_too_dense: bool = False
-    gate_family: DensityFamily = DensityFamily.AVGWEIGHT
     gate_threshold: float = 0.7
     gate_delta_it_fraction: float = 0.4
     gate_n_max: int = 8
@@ -94,8 +93,9 @@ class SyntheticSpec:
         return range(base + 1, base + self.planted_size + 1)
 
     def gate_config(self) -> DensityConfig:
-        upper = delta_it_upper(self.gate_family, self.gate_threshold, self.gate_n_max)
-        return DensityConfig(self.gate_family, self.gate_threshold, self.gate_n_max,
+        family = DensityFamily.AVGWEIGHT
+        upper = delta_it_upper(family, self.gate_threshold, self.gate_n_max)
+        return DensityConfig(family, self.gate_threshold, self.gate_n_max,
                              self.gate_delta_it_fraction * upper)
 
 

@@ -31,15 +31,23 @@ WALKTHROUGH_FLAGS = ["--density", "avgweight", "--threshold", "1.0", "--nmax", "
                      "--delta-it", "0.15", "--thresholds", "0.9,0.975,1.0"]
 
 
+WALKTHROUGH_FINAL = ["FINAL 1.023333333 1,2,3", "FINAL 1.002333333 1,2,3,4",
+                     "FINAL 1.060000000 1,3", "FINAL 1.022500000 1,4",
+                     "FINAL 1.060000000 2,3", "FINAL 1.022500000 2,4"]
+
+
 def test_run_emits_the_walkthrough_events_exactly(walkthrough_stream, tmp_path, capsys):
+    # with --events FILE the expanded view's FINAL lines go to stdout
     events_path = tmp_path / "events.txt"
     rc = main(["run", "--updates", walkthrough_stream, "--events", str(events_path),
-               *WALKTHROUGH_FLAGS])
+               "--expand", *WALKTHROUGH_FLAGS])
     assert rc == 0
     lines = events_path.read_text().splitlines()
     assert lines[-2:] == ["11 GAIN 1.023333333 1,2,3", "11 GAIN 1.002333333 1,2,3,4"]
-    err = capsys.readouterr().err
-    assert "updates=11" in err and "peak_index=" in err
+    captured = capsys.readouterr()
+    assert "updates=11" in captured.err and "peak_index=" in captured.err
+    assert "FINAL" not in captured.err and "FINAL" not in "".join(lines)
+    assert captured.out.splitlines() == WALKTHROUGH_FINAL
 
 
 def test_run_is_byte_deterministic(walkthrough_stream, tmp_path):
@@ -47,6 +55,17 @@ def test_run_is_byte_deterministic(walkthrough_stream, tmp_path):
     main(["run", "--updates", walkthrough_stream, "--events", str(out1), *WALKTHROUGH_FLAGS])
     main(["run", "--updates", walkthrough_stream, "--events", str(out2), *WALKTHROUGH_FLAGS])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_run_expand_prints_final_lines_to_stderr_when_events_use_stdout(
+        walkthrough_stream, capsys):
+    rc = main(["run", "--updates", walkthrough_stream, "--expand", *WALKTHROUGH_FLAGS])
+    assert rc == 0
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert len(out) == 6 and out[-1] == "11 GAIN 1.002333333 1,2,3,4"
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("FINAL")] == WALKTHROUGH_FINAL
 
 
 def test_run_on_empty_input(tmp_path, capsys):
@@ -76,6 +95,27 @@ def test_verify_passes_on_a_small_fuzz_stream(tmp_path, capsys):
                "--delta-it", "40%"])
     assert rc == 0
     assert "PASS 300 updates" in capsys.readouterr().err
+
+
+def test_verify_counts_its_checkpoints(walkthrough_stream, capsys):
+    rc = main(["verify", "--updates", walkthrough_stream, "--checkpoint-every", "2",
+               *WALKTHROUGH_FLAGS])
+    assert rc == 0
+    assert "PASS 11 updates, 5 checkpoints" in capsys.readouterr().err
+
+
+def test_verify_passes_when_the_graph_clamps_sub_eps_increases(tmp_path, capsys):
+    # each increase of the absent pair (1, 2) is below EPS, so the graph
+    # stores nothing and the scores of (1, 2, 3) must not move either
+    lines = ["1 1 3 1.8", "2 2 3 1.8"]
+    lines += [f"{seq} 1 2 0.0000000009" for seq in range(3, 3003)]
+    path = tmp_path / "s.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["verify", "--updates", str(path), "--universe", "4", "--nmax", "4",
+               "--threshold", "1.0", "--delta-it", "40%", "--checkpoint-every", "500"])
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    assert "PASS 3002 updates, 6 checkpoints" in err
 
 
 def test_verify_catches_a_broken_round_budget(tmp_path, capsys, monkeypatch):

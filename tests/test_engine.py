@@ -519,10 +519,12 @@ PLATEAU_SPEC = SyntheticSpec(vertex_count=200, update_count=2000, magnitude_max=
                              planted_sets=1, planted_size=10, reject_too_dense=True,
                              gate_threshold=0.7, gate_delta_it_fraction=0.4,
                              gate_n_max=8, seed=5)
-# sha256 of the event lines and of the final state, taken from an engine
-# that built the merged neighborhood of every set it grew
+# sha256 of the event lines, taken from an engine that built the merged
+# neighborhood of every set it grew, and of the final state, taken once scores
+# followed the weight the graph stored: a weight clamped to 0 moves them by
+# the weight removed, which changes the final scores in the last bits only
 PINNED_PLATEAU_EVENTS = "6e2cd59a04c6263f494a039601c103dcf181cb6073bb0df6dda31ae7be08b5f6"
-PINNED_PLATEAU_STATE = "5b3b59831db36bbbc42f6c6a2f4f1b6800237aace6a3369bb2f8a474549f9689"
+PINNED_PLATEAU_STATE = "0c0fa1f47e8978d1cfc2e23533f1a001175cf170f2ac07c2e2af3e87b17e5957"
 
 
 def test_event_stream_is_pinned_on_a_star_free_plateau():
@@ -537,6 +539,50 @@ def test_event_stream_is_pinned_on_a_star_free_plateau():
     state = repr(sorted(engine.state_signature().items())).encode()
     assert (events.hexdigest(), hashlib.sha256(state).hexdigest()) == (
         PINNED_PLATEAU_EVENTS, PINNED_PLATEAU_STATE)
+
+
+# -- updates the graph stores as a smaller change ---------------------------------------
+
+# (a, b, delta) lists the graph clamps: a sub-EPS increase of an absent pair
+# stores nothing, and a decrease overshooting a weight by less than EPS
+# stores 0.  Either way the scores must follow the weight the graph stored.
+CLAMPED_STREAMS = {
+    "sub-eps increases": [(1, 3, 1.8), (2, 3, 1.8)] + [(1, 2, 9e-10)] * 3000,
+    "overshooting decreases": [(1, 3, 1.8), (2, 3, 1.8)]
+                              + [(1, 2, 0.5), (1, 2, -0.5000000009)] * 30,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLAMPED_STREAMS))
+def test_scores_follow_the_weight_the_graph_stored(name):
+    cfg = derived_cfg(0.4)
+    g = WeightedGraph()
+    g.ensure_universe(4)
+    engine = DenseSubgraphEngine(cfg, g)
+    for seq, (a, b, delta) in enumerate(CLAMPED_STREAMS[name], 1):
+        engine.process_update(a, b, delta, seq)
+    truth = brute_force_dense(g, cfg, strategy="both")
+    dense, output = engine.snapshot_views(expand=True)
+    assert diff(dense, truth.dense) == [] and diff(output, truth.output_dense) == []
+    assert engine.state_signature()[(1, 2, 3)][0] == pytest.approx(3.6, abs=1e-12)
+
+
+def test_explicit_mode_expands_after_a_zero_update_grows_the_universe():
+    cfg = derived_cfg()
+    views, events = {}, {}
+    for star in (True, False):
+        g = WeightedGraph()
+        g.ensure_universe(5)
+        engine = DenseSubgraphEngine(cfg, g, star_mode=star)
+        engine.process_update(1, 2, 9.0, 1)  # star core (1, 2) of depth 2
+        events[star] = engine.process_update(3, 7, 0.0, 2)
+        engine.process_update(4, 8, -1e-10, 3)  # clamped to 0: stores nothing
+        assert g.num_vertices == 8 and list(g.edges()) == [(1, 2, 9.0)]
+        views[star] = engine.snapshot_views(expand=True)
+    assert len(views[True][0]) == 1 + 6 + 15  # (1, 2) plus 1 or 2 of 6 free vertices
+    assert views[False] == views[True]
+    assert events[True] == []
+    assert events[False] and {e.seq for e in events[False]} == {2}
 
 
 # -- rejected updates leave no trace ---------------------------------------------------

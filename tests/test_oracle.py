@@ -67,6 +67,15 @@ def test_strategies_agree_on_random_instances():
         brute_force_dense(g, cfg, strategy="both")  # raises on disagreement
 
 
+def test_disagreeing_strategies_name_the_first_discrepancy(walkthrough_cfg, monkeypatch):
+    import densestream.oracle as oracle
+    real = oracle._exhaustive
+    monkeypatch.setattr(oracle, "_exhaustive",
+                        lambda g, cfg: {vs: d for vs, d in real(g, cfg).items() if vs != (1, 3)})
+    with pytest.raises(AssertionError, match=r"disagree .*: extra 1,3: engine density"):
+        brute_force_dense(build_walkthrough_graph(), walkthrough_cfg, strategy="both")
+
+
 def test_diff_reports_each_kind():
     view = {(1, 2): 1.0, (2, 3): 0.5}
     assert diff(view, dict(view)) == []
@@ -78,3 +87,8 @@ def test_diff_reports_each_kind():
     drift = diff({(1, 2): 1.0}, {(1, 2): 1.1})
     assert len(drift) == 1 and drift[0].kind == "density"
     assert "1.1" in str(drift[0])
+    mixed = diff({(3, 4): 1.0, (1, 2): 1.0, (2, 4): 2.0, (1, 3): 0.5},
+                 {(1, 3): 0.7, (2, 3): 0.5, (1, 2): 1.0, (1, 4): 0.5, (3, 4): 1.2})
+    assert [(d.kind, d.vertices) for d in mixed] == [
+        ("missing", (1, 4)), ("missing", (2, 3)), ("extra", (2, 4)),
+        ("density", (1, 3)), ("density", (3, 4))]
