@@ -3,7 +3,7 @@
 from .density import EPS, ConfigError, DensityConfig, DensityFamily, delta_it_upper
 from .engine import GAIN, LOSE, DenseSubgraphEngine, DensityEvent
 from .graph import EdgeUpdate, GraphError, WeightedGraph
-from .index import STAR, SubgraphIndex
+from .index import SubgraphIndex
 from .ingest import AssociationMeasure, DecayedCounts, DocumentIngestor, EntityDictionary
 from .oracle import OracleResult, brute_force_dense, diff
 from .rerank import rerank_diverse
@@ -12,7 +12,7 @@ from .workload import GenerationReport, SyntheticSpec, generate
 __all__ = [
     "EPS", "ConfigError", "DensityConfig", "DensityFamily", "delta_it_upper",
     "GAIN", "LOSE", "DenseSubgraphEngine", "DensityEvent", "EdgeUpdate",
-    "GraphError", "WeightedGraph", "STAR", "SubgraphIndex", "AssociationMeasure",
+    "GraphError", "WeightedGraph", "SubgraphIndex", "AssociationMeasure",
     "DecayedCounts", "DocumentIngestor", "EntityDictionary", "OracleResult",
     "brute_force_dense", "diff", "rerank_diverse", "GenerationReport",
     "SyntheticSpec", "generate",

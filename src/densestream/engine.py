@@ -18,14 +18,18 @@ scores, so it is exact with star cores too.  Growth builds no merged
 neighborhood: it walks the adjacent vertices and sums a coordinate only for
 an extension it probes, in the order ``merged_neighborhood`` sums it.
 
-Sets dense enough to absorb any further vertex for free carry a ``*``
-marker and a star depth k: they stand for every extension by up to k
-vertices contributing no weight.  The depth is a pure function of (score,
+Sets dense enough to absorb any further vertex for free are star cores
+with a star depth k: they stand for every extension by up to k vertices
+contributing no weight.  The depth is a pure function of (score,
 cardinality), so it is refreshed wherever a score changes; the star scan at
 the end of a positive update materializes implied sets whose membership the
 update changed (a formerly disconnected vertex became a neighbor, or a
 non-adjacent pair gained an edge) and seeds growth around cores whose
-supersets cannot be reached through materialized entries alone.
+supersets cannot be reached through materialized entries alone.  The scan
+order is fixed because it decides which scan admits a set first, and so
+the event order and the floating-point sum that becomes the set's score:
+first the cores holding an endpoint, each once the walk over the index has
+left its subtree, then the others, most recently deepened first.
 
 With ``star_mode=False`` the implied sets are expanded into explicit index
 entries after every update instead, also after one that only grew the
@@ -34,7 +38,7 @@ identical, the cost is not.
 
 Events track the *materialized* answer set: a GAIN or LOSE is emitted
 exactly when a stored set enters or leaves the output-dense set.  Supersets
-represented only by a star marker are reported through the expanded
+represented only by a star core are reported through the expanded
 snapshot, not the event stream.
 """
 
@@ -47,7 +51,7 @@ from typing import Iterable, Optional
 
 from .density import DensityConfig
 from .graph import EdgeUpdate, WeightedGraph
-from .index import STAR, SubgraphIndex, _Node
+from .index import SubgraphIndex, _Node
 
 GAIN = "GAIN"
 LOSE = "LOSE"
@@ -236,18 +240,23 @@ class DenseSubgraphEngine:
     def _positive(self) -> None:
         a, b = self._lo, self._hi
         work: list[tuple[_Node, tuple[int, ...], Optional[int]]] = []
-        cores: list[tuple[_Node, tuple[int, ...]]] = []
+        cores: list[_Node] = []
+        open_: list[_Node] = []  # cores whose subtree the walk is still in
         self._known = known = set()  # indexed before the update, holding both endpoints
-        for vs, node in list(self.index.iterate_containing(a, b)):
-            if node.label is STAR:
-                cores.append((node.parent, vs))
-                continue
+        for vs, node in self.index.iterate_containing(a, b):
+            while open_ and vs[:len(open_[-1].vs)] != open_[-1].vs:
+                cores.append(open_.pop())
+            if node.star_depth:
+                open_.append(node)
             ina, inb = a in vs, b in vs
             if ina and inb:
                 work.append((node, vs, None))
                 known.add(vs)
             elif len(vs) < self.cfg.n_max:  # one endpoint, and room for the other
                 work.append((node, vs, b if ina else a))
+        # Scan order (module docstring), fixed before re-scoring can move a core.
+        cores += reversed(open_)
+        cores += [c for c in self.index.star_parents() if a not in c.vs and b not in c.vs]
 
         # Re-score sets containing both endpoints; report threshold crossings.
         for node, vs, other in work:
@@ -265,8 +274,8 @@ class DenseSubgraphEngine:
                 self._cheap_explore(node, vs, other)
 
         # Maintenance of star-implied sets whose membership this update changed.
-        for node, vs in cores:
-            self._star_scan(node, vs)
+        for node in cores:
+            self._star_scan(node)
 
     def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
         """Grow around a set containing both endpoints (round ``i``).
@@ -294,7 +303,7 @@ class DenseSubgraphEngine:
                             idx.extend_lookup(node, y))
         if score / size >= bar and card + 2 <= self.cfg.n_max and i + 1 <= self._budget:
             # Newly able to absorb any vertex: extensions by a disconnected
-            # vertex are covered by the star marker, but pairs joined by an
+            # vertex are covered by the star core, but pairs joined by an
             # edge not touching the set contribute weight and must be seeded.
             self._probe_edge_pairs(vs, score, i + 1)
 
@@ -332,11 +341,11 @@ class DenseSubgraphEngine:
             self._probe(evs, node.score + self._coordinate(vs, other), 1,
                         self.index.extend_lookup(node, other))
 
-    def _star_scan(self, node: _Node, vs: tuple[int, ...]) -> None:
+    def _star_scan(self, node: _Node) -> None:
         """Reconcile one star core with the update.
 
         A core holding one endpoint may have just gained the other as a
-        neighbor, pulling the implied extension out of the marker's coverage:
+        neighbor, pulling the implied extension out of the core's coverage:
         it is materialized (and grown from).  A core holding neither endpoint
         may imply both as free extensions; the pair now joined by an edge is
         no longer free together, so the combined set is probed.  For a core
@@ -344,8 +353,8 @@ class DenseSubgraphEngine:
         core are probed, which only matters while the star depth is exactly
         one (deeper coverage means those supersets were dense already).
         """
-        card, score = len(vs), node.score
-        n_max = self.cfg.n_max
+        vs, score = node.vs, node.score
+        card, n_max = len(vs), self.cfg.n_max
         self.stats.star_scans += 1
         a, b = self._lo, self._hi
         ina, inb = a in vs, b in vs
@@ -398,7 +407,7 @@ class DenseSubgraphEngine:
         card = len(vs)
         size = self._sizes[card]
         # Dense before the update but never materialized (it was covered by a
-        # star marker): treat like any other stored stable set from here on.
+        # star core): treat like any other stored stable set from here on.
         stable = (score - self._delta) / size >= self._bars[card]
         node = self.index.insert(vs, score)
         self._round[node] = 0 if stable else i

@@ -2,8 +2,8 @@
 
 Only strictly positive weights are stored; a pair without an entry weighs 0
 and is a non-edge for neighbor enumeration.  Vertex ids are positive
-integers, allocated lazily: the universe is 1..max id seen (optionally
-capped).  Single writer; reads are safe between updates.
+integers, allocated lazily: the universe is 1..max id seen.  Single
+writer; reads are safe between updates.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ class EdgeUpdate:
 class WeightedGraph:
     """Undirected weighted graph with symmetric sparse adjacency."""
 
-    def __init__(self, max_vertex: int | None = None):
+    def __init__(self):
         self._adj: dict[int, dict[int, float]] = {}
-        self._max_vertex_cap = max_vertex
         self._num_vertices = 0  # highest id seen so far
 
     # -- vertex universe ------------------------------------------------------
@@ -47,8 +46,6 @@ class WeightedGraph:
     def _touch_vertex(self, v: int) -> None:
         if v < 1:
             raise GraphError(f"vertex ids must be positive, got {v}")
-        if self._max_vertex_cap is not None and v > self._max_vertex_cap:
-            raise GraphError(f"vertex {v} exceeds the configured cap {self._max_vertex_cap}")
         if v > self._num_vertices:
             self._num_vertices = v
 
@@ -94,7 +91,7 @@ class WeightedGraph:
             raise GraphError(
                 f"update ({a},{b},{delta}) would drive weight {before} below zero"
             )
-        self._touch_vertex(hi)  # covers lo as well; raises above the cap
+        self._touch_vertex(hi)  # covers lo as well
         if after <= EPS:
             after = 0.0
             self._adj.get(a, {}).pop(b, None)

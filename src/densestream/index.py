@@ -9,11 +9,11 @@ read newest first -- which makes "every indexed set containing v" an
 iteration over a few subtrees and lets node deletion unlink in constant
 work.
 
-An entry whose score lets it absorb free vertices carries one child
-labeled with the fictitious vertex ``*`` (sorting above every real vertex),
-a marker standing for all supersets built by adding up to ``star_depth``
-vertices that contribute no weight.  Those supersets share the entry's
-score and are never materialized.
+An entry whose score lets it absorb free vertices is a star core: its
+``star_depth`` k stands for all supersets built by adding up to k vertices
+that contribute no weight.  Those supersets share the entry's score and are
+never materialized.  The cores sit in a registry beside the tree, ordered
+by when their depth last grew; the tree holds set paths only.
 
 Not safe for concurrent mutation; the engine owns it on one update thread.
 """
@@ -21,8 +21,6 @@ Not safe for concurrent mutation; the engine owns it on one update thread.
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
-
-STAR = float("inf")  # fictitious label, lexicographically above all vertices
 
 
 class IndexError_(ValueError):
@@ -32,10 +30,9 @@ class IndexError_(ValueError):
 class _Node:
     """One tree node; an indexed set exactly when ``score`` is not None.
 
-    ``vs`` is the sorted vertex tuple of the path to the node; a ``*``
-    marker holds its core's tuple.  ``star_depth`` is how many free
-    vertices the entry can absorb; it is nonzero exactly when the node
-    carries a ``*`` marker child.
+    ``vs`` is the sorted vertex tuple of the path to the node.
+    ``star_depth`` is how many free vertices the entry can absorb; it is
+    nonzero exactly when the node is in its index's star registry.
     """
 
     __slots__ = ("label", "parent", "vs", "children", "score", "star_depth")
@@ -53,11 +50,12 @@ class _Node:
 
 
 class SubgraphIndex:
-    """The dense-set store: prefix tree + inverted lists + star markers."""
+    """The dense-set store: prefix tree + inverted lists + star registry."""
 
     def __init__(self, validator: Optional[Callable[[int, float], bool]] = None):
         self.root = _Node(None, None, ())
         self._lists: dict = {}        # label -> {node: None}, oldest first
+        self._stars: dict = {}        # star cores {node: None}, oldest deepened first
         self._entry_count = 0
         self._node_count = 0
         self._validator = validator   # (card, score) -> dense?
@@ -80,10 +78,6 @@ class SubgraphIndex:
         del nodes[node]
         if not nodes:
             del self._lists[node.label]
-
-    def inverted_list(self, label) -> Iterator[_Node]:
-        """The nodes carrying ``label``, most recently linked first."""
-        return reversed(self._lists.get(label, {}))
 
     # -- path access -------------------------------------------------------------
 
@@ -151,7 +145,7 @@ class SubgraphIndex:
     def remove(self, node_or_vertices) -> int:
         """Drop an indexed set; returns the number of tree nodes freed.
 
-        The terminal's score is cleared, any star marker below it is removed,
+        The terminal's score is cleared, the entry leaves the star registry,
         and childless nodes that hold no set are pruned toward the root.
         """
         if isinstance(node_or_vertices, _Node):
@@ -160,65 +154,53 @@ class SubgraphIndex:
             node = self.find(node_or_vertices)
         if node is None or node.score is None:
             raise IndexError_(f"cannot remove absent set {node_or_vertices}")
-        freed = 0
         if node.star_depth:
-            freed += self.set_star_depth(node, 0)
+            self.set_star_depth(node, 0)
         node.score = None
         self._entry_count -= 1
-        return freed + self._prune_up(node)
+        return self._prune_up(node)
 
-    # -- star markers ---------------------------------------------------------------
+    # -- star cores -----------------------------------------------------------------
 
-    def set_star_depth(self, node: _Node, depth: int) -> int:
+    def set_star_depth(self, node: _Node, depth: int) -> None:
         """Set how many free vertices an entry can absorb.
 
-        The entry's ``*`` marker is created when the depth leaves 0, removed
-        when it returns to 0, and moved to the front of the ``*`` inverted
-        list whenever the depth grows.  Returns the number of tree nodes
-        removed (1 when the marker goes, else 0).
+        The entry joins the star registry when the depth leaves 0, leaves it
+        when the depth returns to 0, and moves to the registry's newest end
+        whenever the depth grows.
         """
         if node.score is None:
-            raise IndexError_("star markers hang below indexed entries only")
+            raise IndexError_("star depths belong to indexed entries only")
         if depth < 0:
             raise IndexError_("star depth out of range")
         current = node.star_depth
         node.star_depth = depth
         if depth > current:
-            marker = node.children.get(STAR)
-            if marker is None:
-                marker = node.children[STAR] = _Node(STAR, node, node.vs)
-                self._node_count += 1
-            else:
-                self._unlink(marker)
-            self._link(marker)
-            return 0
-        if depth == 0 and current:
-            self._unlink(node.children.pop(STAR))
-            self._node_count -= 1
-            return 1
-        return 0
+            self._stars.pop(node, None)
+            self._stars[node] = None
+        elif depth == 0 and current:
+            del self._stars[node]
 
     def star_parents(self) -> Iterator[_Node]:
-        """Entries carrying a marker, most recently deepened first."""
-        for marker in self.inverted_list(STAR):
-            yield marker.parent
+        """Entries with a nonzero star depth, most recently deepened first."""
+        return reversed(self._stars)
 
     # -- iteration -----------------------------------------------------------------
 
     def _subtrees(self, stack: list[_Node],
                   prune_label=None) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Depth-first walk below each node of ``stack``, the last one first,
-        yielding (vertices, node) for entries and star markers.
+        yielding (vertices, node) for entries.
 
-        Children are visited by ascending label, so a marker follows its
-        core's subtree; descent stops at nodes labeled ``prune_label``.
+        Children are visited by ascending label; descent stops at nodes
+        labeled ``prune_label``.
         """
         pop, push = stack.pop, stack.append
         while stack:
             n = pop()
             if n.label == prune_label:
                 continue
-            if n.score is not None or n.label is STAR:
+            if n.score is not None:
                 yield n.vs, n
             children = n.children
             if children:
@@ -228,31 +210,23 @@ class SubgraphIndex:
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
 
-        Yields (vertices, node) for entries and star markers (a
-        marker reports its core's vertices).  First the subtrees of b's
-        inverted list, then a's (pruning descent at nodes labeled b), then
-        the markers whose core contains neither endpoint.
+        Yields (vertices, node): first the subtrees of b's inverted list,
+        newest first, then a's (pruning descent at nodes labeled b).
         """
         if not a < b:
             raise IndexError_("iterate_containing expects a < b")
         yield from self._subtrees(list(self._lists.get(b, ())))
         yield from self._subtrees(list(self._lists.get(a, ())), prune_label=b)
-        for marker in self.inverted_list(STAR):
-            core = marker.vs
-            if a not in core and b not in core:
-                yield core, marker
 
     def iterate_containing_both(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing both a and b (a < b), in the order
-        iterate_containing yields them; star markers are left out."""
-        roots = [n for n in self._lists.get(b, ()) if a in n.vs]
-        return ((vs, n) for vs, n in self._subtrees(roots) if n.label is not STAR)
+        iterate_containing yields them."""
+        return self._subtrees([n for n in self._lists.get(b, ()) if a in n.vs])
 
     def items(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """(vertices, node) for every indexed set, in sorted set order."""
         children = self.root.children
-        roots = [children[label] for label in sorted(children, reverse=True)]
-        return ((vs, n) for vs, n in self._subtrees(roots) if n.label is not STAR)
+        return self._subtrees([children[label] for label in sorted(children, reverse=True)])
 
     # -- structural audit (test support) ------------------------------------------
 
@@ -265,6 +239,7 @@ class SubgraphIndex:
                 assert node.label == label, "inverted list crosses labels"
                 listed[id(node)] = label
         count = 0
+        starred = []
 
         def walk(node: _Node, last_label) -> None:
             nonlocal count
@@ -272,22 +247,16 @@ class SubgraphIndex:
                 count += 1
                 assert child.parent is node, "broken parent link"
                 assert listed.get(id(child)) == label, "node missing from its inverted list"
-                if label is STAR:
-                    assert not child.children and child.score is None, \
-                        "a star marker is a bare leaf"
-                    assert node.score is not None and node.star_depth, \
-                        "star marker without a depth"
-                    assert child.vs is node.vs, "a star marker holds its core's tuple"
-                    continue
                 assert child.vs == node.vs + (label,), "vertex tuple is not the node's path"
                 assert last_label is None or label > last_label, \
                     "labels must increase along paths"
                 if child.score is None:
                     assert child.children, "orphan childless node without a score"
-                elif child.star_depth:
-                    assert STAR in child.children, "star depth without a marker"
+                if child.star_depth:
+                    starred.append(child)
                 walk(child, label)
 
         walk(self.root, None)
         assert count == self._node_count, "node count drifted"
         assert len(listed) == count, "inverted lists hold nodes outside the tree"
+        assert self._stars.keys() == set(starred), "star registry disagrees with the depths"

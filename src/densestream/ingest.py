@@ -397,7 +397,8 @@ def numbered_documents(path) -> Iterator[tuple[int, float, list[str]]]:
     """(line number, timestamp, entities) for each document line of a file."""
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, 1):
-            if not line.strip() or line.startswith("#"):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
             yield (i, *parse_document_line(line, i))
 

@@ -79,10 +79,14 @@ class SyntheticSpec:
             raise WorkloadError("planted probability must be in [0, 1]")
         if self.magnitude_max <= 0:
             raise WorkloadError("magnitude bound must be positive")
+        if self.planted_sets < 0:
+            raise WorkloadError("planted set count must not be negative")
         if self.planted_sets * self.planted_size > self.vertex_count:
             raise WorkloadError("planted sets exceed the vertex universe")
         if self.planted_sets > 0 and self.planted_size < 2:
             raise WorkloadError("planted sets need at least two vertices")
+        if self.planted_sets == 0 and self.planted_probability > 0:
+            raise WorkloadError("planted probability needs at least one planted set")
         remaining = self.vertex_count - self.planted_sets * self.planted_size
         if self.planted_probability < 1.0 and remaining < 2:
             raise WorkloadError("no room for updates outside the planted sets")

@@ -297,6 +297,25 @@ def test_gen_spec_it_cannot_build_is_an_error_line(capsys):
     assert "planted sets exceed the vertex universe" in _one_error_line(capsys)
 
 
+def test_gen_without_planted_sets_needs_no_planted_updates(tmp_path, capsys):
+    out = tmp_path / "u.txt"
+    assert main(["gen", "--out", str(out), "--count", "5", "--planted-sets", "0"]) == 2
+    assert "at least one planted set" in _one_error_line(capsys)
+    assert main(["gen", "--out", str(out), "--count", "5", "--planted-sets", "0",
+                 "--planted-prob", "0"]) == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
+def test_both_input_formats_skip_an_indented_comment(tmp_path, capsys):
+    docs = tmp_path / "docs.txt"
+    docs.write_text("10\ta,b\n  # indented comment\n20\ta,b\n", encoding="utf-8")
+    rc = main(["ingest", "--documents", str(docs), "--out", str(tmp_path / "u.txt"),
+               "--measure", "llr", "--mean-life-secs", "1e9"])
+    assert rc == 0
+    stream = io.StringIO("1 1 2 0.5\n  # indented comment\n2 1 2 0.25\n")
+    assert [u.seq for u in read_updates(stream)] == [1, 2]
+
+
 # -- stream formats ------------------------------------------------------------------
 
 def test_update_roundtrip(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
                          SyntheticSpec, WeightedGraph, delta_it_upper, generate)
 from densestream.density import EPS
-from densestream.index import STAR
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
@@ -152,7 +151,7 @@ def test_implicit_sets_of_a_star_node():
     engine.process_update(1, 3, 9.0, 1)   # too dense
     engine.process_update(1, 4, 0.2, 2)   # 4 neighbors the pair
     engine.process_update(3, 5, 0.2, 3)   # 5 neighbors the pair
-    assert STAR in engine.index.entry((1, 3)).children
+    assert engine.index.entry((1, 3)) in engine.index.star_parents()
     # the one-vertex free extensions of (1, 3): 4 and 5 are neighbors now
     implied = [vs for vs in _implied_only(engine) if len(vs) == 3]
     assert implied == [(1, 2, 3), (1, 3, 6), (1, 3, 7)]
@@ -444,8 +443,11 @@ def _deep_star_replay(seed: int, star_mode: bool) -> list[str]:
     return _deep_star_run(seed, star_mode)[1]
 
 
-def _deep_star_run(seed: int, star_mode: bool) -> tuple[DenseSubgraphEngine, list[str]]:
+def _deep_star_run(seed: int, star_mode: bool,
+                   watch=None) -> tuple[DenseSubgraphEngine, list[str]]:
     """The engine after one deep-star stream, and the stream's replay lines.
+
+    ``watch``, if given, is called with the engine before its first update.
 
     Small universes, threshold 1.0 and large lifts make many sets too dense,
     with star depths reaching 3 to 5; negative updates take back a share of
@@ -459,6 +461,8 @@ def _deep_star_run(seed: int, star_mode: bool) -> tuple[DenseSubgraphEngine, lis
     universe = rng.randint(7, 12)
     g = WeightedGraph(); g.ensure_universe(universe)
     engine = DenseSubgraphEngine(cfg, g, star_mode=star_mode)
+    if watch is not None:
+        watch(engine)
     lines = []
     for seq in range(1, rng.randint(40, 90) + 1):
         a, b = sorted(rng.sample(range(1, universe + 1), 2))
@@ -508,6 +512,70 @@ def test_search_work_is_pinned_on_deep_star_replays(seed):
     st = _deep_star_run(seed, star_mode=seed % 5 != 4)[0].stats
     assert (st.probes, st.rejected_probes, st.explore_calls, st.cheap_explores,
             st.star_scans) == PINNED_REPLAY_WORK[seed]
+
+
+def _reference_scan_order(engine, a: int, b: int) -> list:
+    """The star cores a positive update on (a, b), a < b, scans, in order,
+    written from the tree: the cores holding an endpoint in post-order of
+    the walk over b's inverted list, newest first, then over a's (pruned at
+    b), then the cores holding neither endpoint, most recently deepened first."""
+    out = []
+
+    def walk(node, prune) -> None:
+        if node.label == prune:
+            return
+        for label in sorted(node.children):
+            walk(node.children[label], prune)
+        if node.score is not None and node.star_depth:
+            out.append(node)
+
+    for node in reversed(engine.index._lists.get(b, {})):
+        walk(node, None)
+    for node in reversed(engine.index._lists.get(a, {})):
+        walk(node, b)
+    out += [c for c in engine.index.star_parents() if a not in c.vs and b not in c.vs]
+    return out
+
+
+def record_star_scans(engine: DenseSubgraphEngine) -> list:
+    """Check each positive update's star scans against the reference order.
+
+    Wraps ``process_update`` and ``_star_scan`` on this engine instance;
+    returns the scanned cores of each update, in order, for the caller to
+    see what the check covered.
+    """
+    scanned: list = []
+    per_update: list = []
+    process, scan = engine.process_update, engine._star_scan
+
+    def logged_scan(node):
+        scanned.append(node)
+        scan(node)
+
+    def checked_process(a, b, delta, seq=0):
+        expected = _reference_scan_order(engine, min(a, b), max(a, b)) if delta > 0 else []
+        scanned.clear()
+        events = process(a, b, delta, seq)
+        assert scanned == expected
+        per_update.append(list(scanned))
+        return events
+
+    engine._star_scan = logged_scan
+    engine.process_update = checked_process
+    return per_update
+
+
+def test_star_cores_are_scanned_in_post_order_then_newest_deepened_first():
+    logs = []
+    for seed in range(20):
+        _deep_star_run(seed, star_mode=seed % 5 != 4,
+                       watch=lambda engine: logs.append(record_star_scans(engine)))
+    scans = [cores for log in logs for cores in log]
+    # the order is decided on these streams: some core is scanned after a core
+    # in its subtree, which a pre-order walk would have put first
+    assert any(x.vs == y.vs[:len(x.vs)] for cores in scans
+               for i, x in enumerate(cores) for y in cores[:i])
+    assert sum(map(len, scans)) > 1000
 
 
 # One gated block of ten vertices at n_max 8, as dsbench's ``planted`` has two:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from densestream import STAR, SubgraphIndex
+from densestream import SubgraphIndex
 from densestream.index import IndexError_
 
 FIVE_SETS = [
@@ -43,11 +43,16 @@ def test_reinsert_updates_meta_in_place():
     assert idx.node_count == 9
 
 
+def _inverted_list(idx, label) -> list:
+    """The nodes carrying ``label``, most recently linked first."""
+    return list(reversed(idx._lists.get(label, {})))
+
+
 def test_inverted_list_holds_exactly_the_max_vertex_nodes():
     idx = build_five_set_index()
-    on_five = {n.vs for n in idx.inverted_list(5)}
+    on_five = {n.vs for n in _inverted_list(idx, 5)}
     assert on_five == {(1, 3, 5), (3, 4, 5), (4, 5)}
-    on_three = {n.vs for n in idx.inverted_list(3)}
+    on_three = {n.vs for n in _inverted_list(idx, 3)}
     assert on_three == {(1, 3), (3,)}
 
 
@@ -137,16 +142,14 @@ def test_iterate_requires_ordered_endpoints():
 def test_star_chain_mark_and_unmark():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
+    children = dict(node.children)
     idx.set_star_depth(node, 1)
     assert node.star_depth == 1
-    assert STAR in node.children
-    stars = list(idx.inverted_list(STAR))
-    assert len(stars) == 1
-    assert stars[0].vs == (1, 3)
+    assert list(idx.star_parents()) == [node]
+    assert node.children == children  # a star core adds nothing to the tree
     idx.audit()
     idx.set_star_depth(node, 0)
-    assert STAR not in node.children
-    assert list(idx.inverted_list(STAR)) == []
+    assert list(idx.star_parents()) == []
     # sibling extensions never went anywhere
     assert idx.entry((1, 3, 4)) is not None
     idx.audit()
@@ -157,16 +160,17 @@ def test_star_chain_grow_and_shrink_depth():
     node = idx.entry((1, 3))
     nodes = idx.node_count
     idx.set_star_depth(node, 3)
-    # one marker at any nonzero depth; the depth itself lives on the entry
-    assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
+    # one registry entry at any nonzero depth; the depth itself lives on the entry
+    assert list(idx.star_parents()) == [node]
     assert node.star_depth == 3
-    assert idx.node_count == nodes + 1
-    assert idx.set_star_depth(node, 1) == 0
-    assert list(idx.inverted_list(STAR)) == [node.children[STAR]]
+    assert idx.node_count == nodes
+    idx.set_star_depth(node, 1)
+    assert list(idx.star_parents()) == [node]
     assert node.star_depth == 1
-    assert idx.node_count == nodes + 1
+    assert idx.node_count == nodes
     idx.audit()
-    assert idx.set_star_depth(node, 0) == 1
+    idx.set_star_depth(node, 0)
+    assert list(idx.star_parents()) == []
     assert idx.node_count == nodes
     idx.audit()
 
@@ -183,8 +187,8 @@ def test_removing_an_entry_drops_its_chain():
     idx = build_five_set_index()
     idx.set_star_depth(idx.entry((4, 5)), 2)
     freed = idx.remove((4, 5))
-    assert freed == 3  # the star marker, the 5 leaf, and the 4 node
-    assert list(idx.inverted_list(STAR)) == []
+    assert freed == 2  # the 5 leaf and the 4 node
+    assert list(idx.star_parents()) == []
     idx.audit()
 
 
@@ -198,12 +202,12 @@ def test_star_parents_lists_the_most_recently_deepened_core_first():
     assert [(n, n.star_depth) for n in idx.star_parents()] == [(x, 2), (y, 1)]
 
 
-def test_audit_rejects_a_marker_without_a_depth():
+def test_audit_rejects_a_registered_core_without_a_depth():
     idx = build_five_set_index()
     node = idx.entry((1, 3))
     idx.set_star_depth(node, 1)
     node.star_depth = 0
-    with pytest.raises(AssertionError, match="marker without a depth"):
+    with pytest.raises(AssertionError, match="star registry disagrees"):
         idx.audit()
 
 
@@ -212,18 +216,21 @@ def test_audit_rejects_a_vertex_tuple_off_its_path():
     idx.entry((1, 3)).vs = (1, 4)
     with pytest.raises(AssertionError, match="not the node's path"):
         idx.audit()
+
+
+def test_audit_rejects_a_depth_outside_the_registry():
     idx = build_five_set_index()
-    node = idx.entry((1, 3))
-    idx.set_star_depth(node, 1)
-    node.children[STAR].vs = tuple(list(node.vs))  # equal, but not the core's tuple
-    with pytest.raises(AssertionError, match="holds its core's tuple"):
+    idx.entry((1, 3)).star_depth = 1
+    with pytest.raises(AssertionError, match="star registry disagrees"):
         idx.audit()
 
 
-def test_audit_rejects_a_depth_without_a_marker():
+def test_audit_rejects_a_registered_core_outside_the_tree():
     idx = build_five_set_index()
-    idx.entry((1, 3)).star_depth = 1
-    with pytest.raises(AssertionError, match="depth without a marker"):
+    stray = build_five_set_index().entry((1, 3))
+    stray.star_depth = 1
+    idx._stars[stray] = None
+    with pytest.raises(AssertionError, match="star registry disagrees"):
         idx.audit()
 
 
@@ -248,35 +255,29 @@ def _random_index(rng: random.Random):
 def _path(node) -> tuple[int, ...]:
     labels = []
     while node.label is not None:
-        if node.label is not STAR:
-            labels.append(node.label)
+        labels.append(node.label)
         node = node.parent
     return tuple(reversed(labels))
 
 
 def _reference_containing(idx, a, b) -> list:
     """iterate_containing's order, written out: b's inverted list newest
-    first, each subtree pre-order by ascending label (a marker after its
-    core's subtree), then a's list pruned at b, then the markers whose core
-    holds neither endpoint, newest-deepened first."""
+    first, each subtree pre-order by ascending label, then a's list pruned
+    at b."""
     out = []
 
     def walk(node, prune) -> None:
         if node.label == prune:
             return
-        if node.label is STAR or node.score is not None:
+        if node.score is not None:
             out.append((_path(node), node))
         for label in sorted(node.children):
             walk(node.children[label], prune)
 
-    for node in idx.inverted_list(b):
+    for node in _inverted_list(idx, b):
         walk(node, None)
-    for node in idx.inverted_list(a):
+    for node in _inverted_list(idx, a):
         walk(node, b)
-    for marker in idx.inverted_list(STAR):
-        core = _path(marker)
-        if a not in core and b not in core:
-            out.append((core, marker))
     return out
 
 
@@ -289,19 +290,10 @@ def test_exactly_once_traversal_over_random_states():
         # event order follows these walk orders
         assert list(idx.items()) == [(vs, idx.entry(vs)) for vs in sorted(sets)]
         assert list(idx.iterate_containing(a, b)) == _reference_containing(idx, a, b)
-        visited_sets = []
-        visited_stars = []
-        for vs, node in idx.iterate_containing(a, b):
-            if node.label is STAR:
-                visited_stars.append(id(node))
-            else:
-                visited_sets.append(vs)
+        visited_sets = [vs for vs, _node in idx.iterate_containing(a, b)]
         expected = {vs for vs in sets if a in vs or b in vs}
         assert sorted(visited_sets) == sorted(expected)
         assert len(visited_sets) == len(set(visited_sets))
-        # every star chain node is seen exactly once, whoever its core is
-        all_stars = [id(n) for n in idx.inverted_list(STAR)]
-        assert sorted(visited_stars) == sorted(all_stars)
         idx.audit()
 
 
@@ -312,7 +304,7 @@ def test_iterate_containing_both_over_random_states():
         universe = max(max(vs) for vs in sets)
         a, b = sorted(rng.sample(range(1, universe + 2), 2))
         expected = [(vs, node) for vs, node in idx.iterate_containing(a, b)
-                    if node.label is not STAR and a in vs and b in vs]
+                    if a in vs and b in vs]
         assert list(idx.iterate_containing_both(a, b)) == expected
         assert {vs for vs, _ in expected} == {vs for vs in sets if a in vs and b in vs}
 

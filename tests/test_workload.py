@@ -76,3 +76,7 @@ def test_infeasible_specs_are_rejected():
         SyntheticSpec(negative_probability=1.5)
     with pytest.raises(WorkloadError):
         SyntheticSpec(magnitude_max=0.0)
+    with pytest.raises(WorkloadError):
+        SyntheticSpec(planted_sets=0)  # planted updates with no block to land in
+    with pytest.raises(WorkloadError):
+        SyntheticSpec(planted_sets=-1, planted_probability=0.0)  # ids below 1
