@@ -84,8 +84,8 @@ class DensityConfig:
     def __post_init__(self):
         if self.n_max < 3:
             raise ConfigError("n_max must be at least 3")
-        if self.threshold < 0:
-            raise ConfigError("threshold must be non-negative")
+        if not 0 <= self.threshold < math.inf:
+            raise ConfigError("threshold must be finite and non-negative")
         if self.delta_it <= 0:
             raise ConfigError("delta_it must be positive")
         if self.explicit_thresholds is None:
@@ -103,8 +103,8 @@ class DensityConfig:
                 )
             if self.explicit_thresholds[-1] != self.threshold:
                 raise ConfigError("explicit T_{n_max} must equal the output threshold")
-            if any(t <= 0 for t in self.explicit_thresholds):
-                raise ConfigError("explicit thresholds must be positive")
+            if not all(0 < t < math.inf for t in self.explicit_thresholds):
+                raise ConfigError("explicit thresholds must be finite and positive")
         # Precompute S(n) and T(n) for n = 2..n_max and validate monotonicity.
         sizes = [0.0, 0.0] + [self.family.size_weight(n) for n in range(2, self.n_max + 1)]
         thresholds = [0.0, 0.0] + [self._derive_threshold(n) for n in range(2, self.n_max + 1)]

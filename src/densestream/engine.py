@@ -9,14 +9,18 @@ threshold.  For an increase, the engine re-scores those sets and then
 searches outward for sets that newly crossed their threshold: the updated
 pair itself, indexed sets holding one endpoint augmented with the other
 (the cheap step), and neighbor-by-neighbor growth around sets holding
-both, bounded by ceil(delta / delta_it) rounds.  Re-exploration is suppressed by the round at
-which each set admitted during the update was found, and a set indexed
-before the update that holds both endpoints is never probed: the update
-re-scores it and grows from it, and it has no round in this update, so a
-probe could only count itself.  This rests on the index, not on pre-update
-scores, so it is exact with star cores too.  Growth builds no merged
-neighborhood: it walks the adjacent vertices and sums a coordinate only for
-an extension it probes, in the order ``merged_neighborhood`` sums it.
+both, bounded by ceil(delta / delta_it) rounds.  Every probed set holds both
+endpoints, so it is indexed exactly when it was indexed before the update
+(``_known``: the walk over the index found it) or the update admitted it
+(``_round``); a probe reads these two tables and never looks the set up in
+the index.  Re-exploration is suppressed by the round at which each set
+admitted during the update was found, and a set indexed before the update
+is never probed: the update re-scores it and grows from it, and it has no
+round in this update, so a probe could only count itself.  This rests on
+the index, not on pre-update scores, so it is exact with star cores too.
+Growth builds no merged neighborhood: it walks the adjacent vertices and
+sums a coordinate only for an extension it probes, in the order
+``merged_neighborhood`` sums it.
 
 Sets dense enough to absorb any further vertex for free are star cores
 with a star depth k: they stand for every extension by up to k vertices
@@ -95,7 +99,8 @@ class DenseSubgraphEngine:
         self.star_mode = star_mode
         self.iteration_cap = iteration_cap  # overrides the derived round budget
         self.stats = EngineStats()
-        self._round: dict[_Node, int] = {}  # sets admitted this update -> round
+        # sets admitted this update -> (round found, score at admission)
+        self._round: dict[tuple[int, ...], tuple[int, float]] = {}
         self._events: list[DensityEvent] = []
         self._dirty: set = set()  # star cores pending expansion (explicit mode)
         # per-update context
@@ -269,16 +274,16 @@ class DenseSubgraphEngine:
         # Outward search, in traversal order.
         for node, vs, other in work:
             if other is None:
-                self._explore(node, vs, 1)
+                self._explore(vs, node.score, 1)
             else:
-                self._cheap_explore(node, vs, other)
+                self._cheap_explore(vs, node.score, other)
 
         # Maintenance of star-implied sets whose membership this update changed.
         for node in cores:
             self._star_scan(node)
 
-    def _explore(self, node: _Node, vs: tuple[int, ...], i: int) -> None:
-        """Grow around a set containing both endpoints (round ``i``).
+    def _explore(self, vs: tuple[int, ...], score: float, i: int) -> None:
+        """Grow around an indexed set containing both endpoints (round ``i``).
 
         Extensions in ``_known`` (indexed before the update) are not probed;
         only a probed extension gets its coordinate of the merged neighborhood.
@@ -286,21 +291,18 @@ class DenseSubgraphEngine:
         card = len(vs)
         if card >= self.cfg.n_max:
             return
-        score = node.score
         size, bar = self._sizes[card + 1], self._bars[card + 1]
         if (score - self._delta) / size >= bar:
             return  # could absorb any vertex before the update: supersets known
         if i > self._budget:
             return
         self.stats.explore_calls += 1
-        idx = self.index
         known = self._known
         members = set(vs)  # the order merged_neighborhood sums in
         for y in sorted(self.graph.adjacent(vs)):
             evs = _with(vs, y)
             if evs not in known:
-                self._probe(evs, score + self._coordinate(members, y), i,
-                            idx.extend_lookup(node, y))
+                self._probe(evs, score + self._coordinate(members, y), i)
         if score / size >= bar and card + 2 <= self.cfg.n_max and i + 1 <= self._budget:
             # Newly able to absorb any vertex: extensions by a disconnected
             # vertex are covered by the star core, but pairs joined by an
@@ -330,16 +332,15 @@ class DenseSubgraphEngine:
             total += row.get(v, 0.0)
         return total
 
-    def _cheap_explore(self, node: _Node, vs: tuple[int, ...], other: int) -> None:
+    def _cheap_explore(self, vs: tuple[int, ...], score: float, other: int) -> None:
         """Augment a one-endpoint set with the other, unless ``_known`` holds it."""
         card = len(vs)
-        if node.score / self._sizes[card + 1] >= self._bars[card + 1]:
+        if score / self._sizes[card + 1] >= self._bars[card + 1]:
             return  # was too dense before: its supersets were already known
         self.stats.cheap_explores += 1
         evs = _with(vs, other)
         if evs not in self._known:
-            self._probe(evs, node.score + self._coordinate(vs, other), 1,
-                        self.index.extend_lookup(node, other))
+            self._probe(evs, score + self._coordinate(vs, other), 1)
 
     def _star_scan(self, node: _Node) -> None:
         """Reconcile one star core with the update.
@@ -378,24 +379,18 @@ class DenseSubgraphEngine:
 
     # -- candidate admission -----------------------------------------------------------------
 
-    def _probe(self, vs: tuple[int, ...], score: float, i: int,
-               node: object = False) -> None:
-        """Evaluate one candidate set discovered at round ``i``.
-
-        ``node`` may carry a pre-located tree node (or None when the caller
-        already knows the set is absent); ``False`` means look it up here.
-        """
-        if node is False:
-            if vs in self._known:
-                return  # indexed before the update: it has no round to lower
-            node = self.index.find(vs)
+    def _probe(self, vs: tuple[int, ...], score: float, i: int) -> None:
+        """Evaluate one candidate set, holding both endpoints, found at round ``i``."""
+        if vs in self._known:
+            return  # indexed before the update: it has no round to lower
         self.stats.probes += 1
-        if node is not None and node.score is not None:
-            t = self._round.get(node)
-            if t is not None and t > i:
+        admitted = self._round.get(vs)
+        if admitted is not None:
+            t, s = admitted
+            if t > i:
                 # reachable in fewer rounds than first thought: explore deeper
-                self._round[node] = i
-                self._explore(node, vs, i + 1)
+                self._round[vs] = (i, s)
+                self._explore(vs, s, i + 1)
             return
         card = len(vs)
         if score / self._sizes[card] >= self._bars[card]:
@@ -410,11 +405,11 @@ class DenseSubgraphEngine:
         # star core): treat like any other stored stable set from here on.
         stable = (score - self._delta) / size >= self._bars[card]
         node = self.index.insert(vs, score)
-        self._round[node] = 0 if stable else i
+        self._round[vs] = (0 if stable else i, score)
         if score / size >= self._out_bar:
             self._emit(GAIN, vs, score / size)
         self._maintain_closure(node, vs)
-        self._explore(node, vs, 1 if stable else i + 1)
+        self._explore(vs, score, 1 if stable else i + 1)
 
     # -- score and star-depth upkeep --------------------------------------------------------
 
@@ -444,8 +439,7 @@ class DenseSubgraphEngine:
             for node in batch:
                 score = node.score
                 for evs in self._implied_sets(node.vs, node.star_depth):
-                    enode = self.index.find(evs)
-                    if enode is not None and enode.score is not None:
+                    if self.index.entry(evs) is not None:
                         continue
                     newn = self.index.insert(evs, score)
                     d = score / self._sizes[len(evs)]

@@ -4,10 +4,9 @@ Sets are stored sorted, one tree node per prefix element, so overlapping
 sets share their common-prefix path.  Each node holds its prefix as a
 sorted vertex tuple, set when the node is created, so reading a set back
 costs no walk.  Each vertex has an inverted list --
-an insertion-ordered dict of the tree nodes carrying that vertex as label,
-read newest first -- which makes "every indexed set containing v" an
-iteration over a few subtrees and lets node deletion unlink in constant
-work.
+an insertion-ordered dict of the tree nodes whose prefix ends in that
+vertex, read newest first -- which makes "every indexed set containing v"
+an iteration over a few subtrees.
 
 An entry whose score lets it absorb free vertices is a star core: its
 ``star_depth`` k stands for all supersets built by adding up to k vertices
@@ -30,30 +29,29 @@ class IndexError_(ValueError):
 class _Node:
     """One tree node; an indexed set exactly when ``score`` is not None.
 
-    ``vs`` is the sorted vertex tuple of the path to the node.
-    ``star_depth`` is how many free vertices the entry can absorb; it is
-    nonzero exactly when the node is in its index's star registry.
+    ``vs`` is the sorted vertex tuple of the path to the node; its last
+    vertex is the node's label.  ``star_depth`` is how many free vertices
+    the entry can absorb; it is nonzero exactly when the node is in its
+    index's star registry.
     """
 
-    __slots__ = ("label", "parent", "vs", "children", "score", "star_depth")
+    __slots__ = ("vs", "children", "score", "star_depth")
 
-    def __init__(self, label, parent, vs: tuple[int, ...]):
-        self.label = label
-        self.parent = parent
+    def __init__(self, vs: tuple[int, ...]):
         self.vs = vs
         self.children: dict = {}
         self.score: Optional[float] = None
         self.star_depth = 0
 
     def __repr__(self):  # debugging aid only
-        return f"<node {self.label}>"
+        return f"<node {self.vs}>"
 
 
 class SubgraphIndex:
     """The dense-set store: prefix tree + inverted lists + star registry."""
 
     def __init__(self, validator: Optional[Callable[[int, float], bool]] = None):
-        self.root = _Node(None, None, ())
+        self.root = _Node(())
         self._lists: dict = {}        # label -> {node: None}, oldest first
         self._stars: dict = {}        # star cores {node: None}, oldest deepened first
         self._entry_count = 0
@@ -71,13 +69,13 @@ class SubgraphIndex:
     # -- inverted-list plumbing ------------------------------------------------
 
     def _link(self, node: _Node) -> None:
-        self._lists.setdefault(node.label, {})[node] = None
+        self._lists.setdefault(node.vs[-1], {})[node] = None
 
     def _unlink(self, node: _Node) -> None:
-        nodes = self._lists[node.label]
+        nodes = self._lists[node.vs[-1]]
         del nodes[node]
         if not nodes:
-            del self._lists[node.label]
+            del self._lists[node.vs[-1]]
 
     # -- path access -------------------------------------------------------------
 
@@ -107,7 +105,7 @@ class SubgraphIndex:
         for v in vertices:
             child = node.children.get(v)
             if child is None:
-                child = _Node(v, node, node.vs + (v,))
+                child = _Node(node.vs + (v,))
                 node.children[v] = child
                 self._link(child)
                 self._node_count += 1
@@ -123,24 +121,13 @@ class SubgraphIndex:
         One child probe when y is greater than every vertex in the set;
         otherwise a re-walk from the root over the merged sorted set.
         """
-        if node.label is None or y > node.label:
+        if not node.vs or y > node.vs[-1]:
             self.child_probes += 1
             return node.children.get(y)
         merged = sorted(node.vs + (y,))
         return self.find(merged)
 
     # -- removal ----------------------------------------------------------------
-
-    def _prune_up(self, node: _Node) -> int:
-        freed = 0
-        while node is not self.root and node.score is None and not node.children:
-            parent = node.parent
-            self._unlink(node)
-            del parent.children[node.label]
-            self._node_count -= 1
-            freed += 1
-            node = parent
-        return freed
 
     def remove(self, node_or_vertices) -> int:
         """Drop an indexed set; returns the number of tree nodes freed.
@@ -158,7 +145,18 @@ class SubgraphIndex:
             self.set_star_depth(node, 0)
         node.score = None
         self._entry_count -= 1
-        return self._prune_up(node)
+        path = [self.root]  # the node's ancestors, root first
+        for v in node.vs[:-1]:
+            path.append(path[-1].children[v])
+        freed = 0
+        while path and node.score is None and not node.children:
+            parent = path.pop()
+            self._unlink(node)
+            del parent.children[node.vs[-1]]
+            self._node_count -= 1
+            freed += 1
+            node = parent
+        return freed
 
     # -- star cores -----------------------------------------------------------------
 
@@ -192,20 +190,19 @@ class SubgraphIndex:
         """Depth-first walk below each node of ``stack``, the last one first,
         yielding (vertices, node) for entries.
 
-        Children are visited by ascending label; descent stops at nodes
-        labeled ``prune_label``.
+        Children are visited by ascending label; children labeled
+        ``prune_label`` are not entered.
         """
         pop, push = stack.pop, stack.append
         while stack:
             n = pop()
-            if n.label == prune_label:
-                continue
             if n.score is not None:
                 yield n.vs, n
             children = n.children
             if children:
                 for label in sorted(children, reverse=True):
-                    push(children[label])
+                    if label != prune_label:
+                        push(children[label])
 
     def iterate_containing(self, a: int, b: int) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """Every indexed set containing a or b, each exactly once.
@@ -225,8 +222,7 @@ class SubgraphIndex:
 
     def items(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
         """(vertices, node) for every indexed set, in sorted set order."""
-        children = self.root.children
-        return self._subtrees([children[label] for label in sorted(children, reverse=True)])
+        return self._subtrees([self.root])
 
     # -- structural audit (test support) ------------------------------------------
 
@@ -236,7 +232,7 @@ class SubgraphIndex:
         for label, nodes in self._lists.items():
             assert nodes, "empty inverted list kept"
             for node in nodes:
-                assert node.label == label, "inverted list crosses labels"
+                assert node.vs[-1] == label, "inverted list crosses labels"
                 listed[id(node)] = label
         count = 0
         starred = []
@@ -245,7 +241,6 @@ class SubgraphIndex:
             nonlocal count
             for label, child in node.children.items():
                 count += 1
-                assert child.parent is node, "broken parent link"
                 assert listed.get(id(child)) == label, "node missing from its inverted list"
                 assert child.vs == node.vs + (label,), "vertex tuple is not the node's path"
                 assert last_label is None or label > last_label, \

@@ -17,6 +17,7 @@ own bookkeeping, so a written stream replays bit-identically.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -77,8 +78,10 @@ class SyntheticSpec:
             raise WorkloadError("negative probability must be in [0, 1]")
         if not 0 <= self.planted_probability <= 1:
             raise WorkloadError("planted probability must be in [0, 1]")
-        if self.magnitude_max <= 0:
-            raise WorkloadError("magnitude bound must be positive")
+        if not 0 < self.magnitude_max < math.inf:
+            raise WorkloadError("magnitude bound must be finite and positive")
+        if self.update_count < 0:
+            raise WorkloadError("update count must not be negative")
         if self.planted_sets < 0:
             raise WorkloadError("planted set count must not be negative")
         if self.planted_sets * self.planted_size > self.vertex_count:

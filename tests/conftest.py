@@ -58,11 +58,11 @@ def record_probes(engine: DenseSubgraphEngine) -> list[tuple[tuple[int, ...], fl
     log: list[tuple[tuple[int, ...], float, bool]] = []
     probe, find, cfg = engine._probe, engine.index.find, engine.cfg
 
-    def logged(vs, score, i, node=False):
+    def logged(vs, score, i):
         hit = find(vs)
         if hit is None or hit.score is None:
             log.append((vs, score, cfg.is_dense(len(vs), score)))
-        probe(vs, score, i, node)
+        probe(vs, score, i)
 
     engine._probe = logged
     return log

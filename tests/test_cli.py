@@ -262,6 +262,12 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
     (["run", "--threshold", "0"], "threshold must be positive"),
     (["run", "--universe", "-5"], "--universe"),
     (["verify", "--universe", "0"], "--universe"),
+    # a NaN T_2 made nothing dense, and verify passed on the empty answer
+    (["run", "--nmax", "3", "--thresholds", "nan,1.0"], "explicit thresholds must be finite"),
+    (["verify", "--nmax", "4", "--thresholds", "0.5,nan,1.0"],
+     "explicit thresholds must be finite"),
+    (["run", "--threshold", "inf", "--nmax", "3", "--thresholds", "0.5,inf"],
+     "threshold must be finite"),
 ])
 def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, named):
     path = tmp_path / "s.txt"
@@ -295,6 +301,19 @@ def test_module_entry_point_runs_and_rejects_bad_input(tmp_path):
 def test_gen_spec_it_cannot_build_is_an_error_line(capsys):
     assert main(["gen", "--vertices", "1", "--count", "5"]) == 2
     assert "planted sets exceed the vertex universe" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, named", [
+    # a non-finite magnitude wrote deltas such as "nan" that run refuses
+    (["--magnitude", "nan"], "magnitude bound must be finite"),
+    (["--magnitude", "inf"], "magnitude bound must be finite"),
+    (["--count", "-3"], "update count must not be negative"),
+])
+def test_gen_refuses_a_spec_whose_stream_run_would_refuse(tmp_path, capsys, argv, named):
+    out = tmp_path / "u.txt"
+    assert main(["gen", "--out", str(out), "--vertices", "50", *argv]) == 2
+    assert named in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_gen_without_planted_sets_needs_no_planted_updates(tmp_path, capsys):

@@ -82,6 +82,20 @@ def test_non_increasing_explicit_thresholds_rejected():
                       explicit_thresholds=(1.0, 0.9, 1.0))
 
 
+@pytest.mark.parametrize("threshold, n_max, explicit", [
+    (1.0, 3, (math.nan, 1.0)),       # T_2 NaN: no set is ever dense
+    (1.0, 4, (0.5, math.nan, 1.0)),
+    (math.inf, 3, (0.5, math.inf)),  # nothing is ever output-dense
+    (math.nan, 3, (0.5, math.nan)),
+    (math.inf, 3, None),
+    (math.nan, 3, None),
+])
+def test_non_finite_thresholds_rejected(threshold, n_max, explicit):
+    with pytest.raises(ConfigError, match="must be finite"):
+        DensityConfig(DensityFamily.AVGWEIGHT, threshold, n_max, 0.1,
+                      explicit_thresholds=explicit)
+
+
 def test_explicit_thresholds_must_end_at_output_threshold():
     with pytest.raises(ConfigError):
         DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,

@@ -92,7 +92,7 @@ def test_set_admitted_this_update_grows_again_from_a_lower_round():
     events = engine.process_update(3, 5, 1.63, 4)
     assert [(e.kind, e.vertices) for e in events] == [
         ("GAIN", (1, 2, 3, 5)), ("GAIN", (1, 2, 3, 4, 5))]
-    assert engine._round[engine.index.entry((2, 3, 4, 5))] == 1
+    assert engine._round[(2, 3, 4, 5)][0] == 1
     truth = brute_force_dense(g, cfg, strategy="both")
     assert diff(engine.snapshot_views(expand=True)[0], truth.dense) == []
 
@@ -522,10 +522,9 @@ def _reference_scan_order(engine, a: int, b: int) -> list:
     out = []
 
     def walk(node, prune) -> None:
-        if node.label == prune:
-            return
         for label in sorted(node.children):
-            walk(node.children[label], prune)
+            if label != prune:
+                walk(node.children[label], prune)
         if node.score is not None and node.star_depth:
             out.append(node)
 
@@ -607,6 +606,44 @@ def test_event_stream_is_pinned_on_a_star_free_plateau():
     state = repr(sorted(engine.state_signature().items())).encode()
     assert (events.hexdigest(), hashlib.sha256(state).hexdigest()) == (
         PINNED_PLATEAU_EVENTS, PINNED_PLATEAU_STATE)
+
+
+def check_probe_membership(engine: DenseSubgraphEngine) -> list:
+    """Check, before every probe, the membership test ``_probe`` rests on.
+
+    Every candidate holds both endpoints of the update, so the index holds
+    it exactly when it was indexed before the update (``_known``) or the
+    update admitted it (``_round``).  Wraps ``_probe`` on this engine
+    instance; returns a list that gets, per probe, which of the three cases
+    it was.
+    """
+    cases: list = []
+    probe, entry = engine._probe, engine.index.entry
+
+    def checked(vs, score, i):
+        assert engine._lo in vs and engine._hi in vs, vs
+        known, admitted = vs in engine._known, vs in engine._round
+        assert (entry(vs) is not None) == (known or admitted), vs
+        cases.append("known" if known else "admitted" if admitted else "absent")
+        probe(vs, score, i)
+
+    engine._probe = checked
+    return cases
+
+
+def test_a_probed_set_is_indexed_exactly_when_the_update_tables_hold_it():
+    logs = []
+    for seed in range(60):
+        _deep_star_run(seed, star_mode=seed % 5 != 4,
+                       watch=lambda engine: logs.append(check_probe_membership(engine)))
+    g = WeightedGraph(); g.ensure_universe(PLATEAU_SPEC.vertex_count)
+    engine = DenseSubgraphEngine(PLATEAU_SPEC.gate_config(), g)
+    logs.append(check_probe_membership(engine))
+    for u in generate(PLATEAU_SPEC):
+        engine.process(u)
+    # every case is met, on the star-heavy replays and on the plateau alike
+    assert {"known", "admitted", "absent"} == {c for log in logs[:-1] for c in log}
+    assert {"known", "admitted", "absent"} == set(logs[-1])
 
 
 # -- updates the graph stores as a smaller change ---------------------------------------

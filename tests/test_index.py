@@ -29,7 +29,7 @@ def test_overlapping_sets_share_their_prefix_path():
     assert idx.node_count < sum(len(vs) for vs, _ in FIVE_SETS)
     a = idx.entry((1, 3, 4))
     b = idx.entry((1, 3, 5))
-    assert a.parent is b.parent
+    assert idx.find((1, 3)).children == {4: a, 5: b}
     idx.audit()
 
 
@@ -213,7 +213,7 @@ def test_audit_rejects_a_registered_core_without_a_depth():
 
 def test_audit_rejects_a_vertex_tuple_off_its_path():
     idx = build_five_set_index()
-    idx.entry((1, 3)).vs = (1, 4)
+    idx.entry((1, 3, 4)).vs = (2, 3, 4)  # its last vertex, the label, is kept
     with pytest.raises(AssertionError, match="not the node's path"):
         idx.audit()
 
@@ -252,12 +252,17 @@ def _random_index(rng: random.Random):
     return idx, sets, starred
 
 
-def _path(node) -> tuple[int, ...]:
-    labels = []
-    while node.label is not None:
-        labels.append(node.label)
-        node = node.parent
-    return tuple(reversed(labels))
+def _paths(idx) -> dict:
+    """Each tree node's path, read from the child labels down from the root."""
+    paths = {}
+
+    def walk(node, path) -> None:
+        paths[id(node)] = path
+        for label, child in node.children.items():
+            walk(child, path + (label,))
+
+    walk(idx.root, ())
+    return paths
 
 
 def _reference_containing(idx, a, b) -> list:
@@ -265,14 +270,14 @@ def _reference_containing(idx, a, b) -> list:
     first, each subtree pre-order by ascending label, then a's list pruned
     at b."""
     out = []
+    paths = _paths(idx)
 
     def walk(node, prune) -> None:
-        if node.label == prune:
-            return
         if node.score is not None:
-            out.append((_path(node), node))
+            out.append((paths[id(node)], node))
         for label in sorted(node.children):
-            walk(node.children[label], prune)
+            if label != prune:
+                walk(node.children[label], prune)
 
     for node in _inverted_list(idx, b):
         walk(node, None)

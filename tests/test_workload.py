@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from densestream import (DenseSubgraphEngine, GenerationReport, SyntheticSpec,
@@ -50,20 +53,30 @@ def test_replay_never_underflows():
         g.apply_update(u.a, u.b, u.delta)  # raises if a weight would go negative
 
 
-def test_rejection_gate_keeps_the_run_free_of_saturated_sets():
-    spec = SyntheticSpec(vertex_count=200, update_count=800, planted_sets=4,
-                         planted_size=6, reject_too_dense=True,
-                         gate_threshold=0.7, gate_n_max=8, seed=9)
-    report = GenerationReport()
-    stream = generate(spec, report)
-    assert len(stream) == 800
+def _forms_a_star_core(spec: SyntheticSpec, stream) -> bool:
+    """Whether replaying ``stream`` under the gate's config ever makes a star core."""
     g = WeightedGraph()
     g.ensure_universe(spec.vertex_count)
     engine = DenseSubgraphEngine(spec.gate_config(), g)
     for u in stream:
         engine.process(u)
-        assert not engine.has_too_dense()
-    assert report.rejected >= 0
+        if engine.has_too_dense():
+            return True
+    return False
+
+
+def test_rejection_gate_keeps_the_run_free_of_saturated_sets():
+    spec = SyntheticSpec(vertex_count=200, update_count=800, magnitude_max=0.3,
+                         planted_sets=4, planted_size=6, reject_too_dense=True,
+                         gate_threshold=0.7, gate_n_max=8, seed=9)
+    report = GenerationReport()
+    stream = generate(spec, report)
+    assert len(stream) == 800
+    assert report.rejected > 0
+    assert not _forms_a_star_core(spec, stream)
+    # the same spec without the gate does saturate, so the gate did the work
+    ungated = dataclasses.replace(spec, reject_too_dense=False)
+    assert _forms_a_star_core(spec, generate(ungated))
 
 
 def test_infeasible_specs_are_rejected():
@@ -74,8 +87,11 @@ def test_infeasible_specs_are_rejected():
                       planted_probability=0.5)  # nowhere to put noise updates
     with pytest.raises(WorkloadError):
         SyntheticSpec(negative_probability=1.5)
+    for magnitude in (0.0, math.nan, math.inf):
+        with pytest.raises(WorkloadError):
+            SyntheticSpec(magnitude_max=magnitude)  # nan or inf writes unreadable deltas
     with pytest.raises(WorkloadError):
-        SyntheticSpec(magnitude_max=0.0)
+        SyntheticSpec(update_count=-3)
     with pytest.raises(WorkloadError):
         SyntheticSpec(planted_sets=0)  # planted updates with no block to land in
     with pytest.raises(WorkloadError):
