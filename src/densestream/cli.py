@@ -29,8 +29,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=1.0,
                    help="output density threshold T")
     p.add_argument("--nmax", type=int, default=5, help="maximum set cardinality")
-    p.add_argument("--delta-it", default="1%",
-                   help="per-round magnitude, absolute or as N%% of its maximum")
+    p.add_argument("--delta-it", default=None,
+                   help="round unit of the derived schedule, absolute or as N%% of "
+                        "its maximum (default 1%%); --thresholds implies its own")
     p.add_argument("--thresholds", default=None,
                    help="explicit T_2,...,T_nmax overriding the derived schedule")
     p.add_argument("--universe", type=int, default=None,
@@ -50,16 +51,19 @@ def _number(flag: str, text: str) -> float:
 
 def build_config(args) -> DensityConfig:
     family = DensityFamily(args.density)
-    spec = str(args.delta_it).strip()
+    if args.thresholds:
+        if args.delta_it is not None:
+            raise _InputError("--delta-it: the round unit follows from --thresholds; "
+                              "give one of the two")
+        explicit = tuple(_number("--thresholds", x) for x in args.thresholds.split(","))
+        return DensityConfig(family, args.threshold, args.nmax, explicit_thresholds=explicit)
+    spec = ("1%" if args.delta_it is None else args.delta_it).strip()
     if spec.endswith("%"):
         frac = _number("--delta-it", spec[:-1]) / 100.0
         delta_it = frac * delta_it_upper(family, args.threshold, args.nmax)
     else:
         delta_it = _number("--delta-it", spec)
-    explicit = None
-    if args.thresholds:
-        explicit = tuple(_number("--thresholds", x) for x in args.thresholds.split(","))
-    return DensityConfig(family, args.threshold, args.nmax, delta_it, explicit)
+    return DensityConfig(family, args.threshold, args.nmax, delta_it)
 
 
 def _make_engine(args, cfg: DensityConfig) -> DenseSubgraphEngine:
@@ -103,7 +107,7 @@ def cmd_run(args) -> int:
     wall = time.perf_counter() - start
     st = engine.stats
     print(f"updates={count} events={st.events} peak_index={st.peak_entries} "
-          f"wall_secs={wall:.3f}", file=sys.stderr)
+          f"round_unit={cfg.delta_it:.9f} wall_secs={wall:.3f}", file=sys.stderr)
     if args.expand:
         snap = engine.snapshot_output_dense(expand=True)
         for vs in sorted(snap):

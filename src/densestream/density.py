@@ -9,9 +9,27 @@ normalized measure).
 
 A set is *output-dense* when its density reaches the user threshold T, and
 *dense* (worth indexing) when it reaches the lower, cardinality-dependent
-maintenance threshold T_n.  The T_n schedule interpolates so that
-T_{n_max} = T exactly, with spacing controlled by ``delta_it``: an update of
-magnitude d then needs at most ceil(d / delta_it) exploration rounds.
+maintenance threshold T_n.  An update of magnitude d needs at most
+ceil(d / delta_it) exploration rounds while the round unit ``delta_it`` is no
+larger than any scaled spacing of the normalized thresholds tau_n = T_n * g_n:
+
+    delta_it <= n(n-1) * (tau_n - tau_{n-1})   for n = 3..n_max.
+
+A derived schedule is built from a given ``delta_it``: T_{n_max} = T exactly
+and (n-1)(n-2) * (tau_n - tau_{n-1}) = delta_it, which meets the bound.  An
+explicit schedule takes no ``delta_it``; its unit is the minimum of the
+right-hand side, read from the table.
+
+Why the bound suffices.  Let margin(X) = score(X) - |X|(|X|-1) * tau_|X|, so
+X is dense when its margin is non-negative.  Let C (|C| = n) be newly dense
+after an update of magnitude d to the pair (a, b), with neither C-a nor C-b
+dense (otherwise the cheap step reaches C in round 1).  The identity
+sum over v in C of score(C-v) = (n-2) * score(C) gives some v outside
+{a, b} whose margin(C-v) exceeds margin(C) by more than
+n(n-1) * (tau_n - tau_{n-1}) >= delta_it, so C-v is dense.  Every set
+holding both endpoints gains d of margin, so a chain of k sets, each newly
+dense and one vertex larger than the last, needs d > (k-1) * delta_it, and
+ceil(d / delta_it) rounds reach its end.
 """
 
 from __future__ import annotations
@@ -68,17 +86,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DensityConfig:
-    """Immutable bundle of density family, thresholds and exploration knob.
+    """Immutable bundle of density family, thresholds and round unit.
 
-    ``explicit_thresholds``, when given, supplies T_2..T_{n_max} directly and
-    overrides the derived schedule; the last entry must equal ``threshold``.
-    Pure data + pure functions: safe to share across threads.
+    Without ``explicit_thresholds`` the T_n schedule is derived from
+    ``delta_it``, which must lie in (0, ``delta_it_upper``).  With them,
+    T_2..T_{n_max} are given directly (the last must equal ``threshold``)
+    and ``delta_it`` must be left out: it is set to the table's unit,
+    min over n = 3..n_max of n(n-1) * (tau_n - tau_{n-1}), the largest round
+    unit for which ceil(d / delta_it) rounds are proven enough (see the
+    module docstring).  Pure data + pure functions: safe to share across
+    threads.
     """
 
     family: DensityFamily
     threshold: float           # T: minimum density for the reported answer set
     n_max: int                 # maximum cardinality of interest
-    delta_it: float            # per-iteration magnitude; spaces the T_n schedule
+    delta_it: Optional[float] = None  # round unit; read from explicit thresholds
     explicit_thresholds: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
@@ -86,15 +109,18 @@ class DensityConfig:
             raise ConfigError("n_max must be at least 3")
         if not 0 <= self.threshold < math.inf:
             raise ConfigError("threshold must be finite and non-negative")
-        if self.delta_it <= 0:
-            raise ConfigError("delta_it must be positive")
         if self.explicit_thresholds is None:
+            if self.delta_it is None:
+                raise ConfigError("delta_it is required without explicit thresholds")
             upper = delta_it_upper(self.family, self.threshold, self.n_max)
             if not (0 < self.delta_it < upper):
                 raise ConfigError(
                     f"delta_it={self.delta_it} outside the valid range (0, {upper})"
                 )
         else:
+            if self.delta_it is not None:
+                raise ConfigError(
+                    "delta_it is read from explicit thresholds and cannot be given")
             expected = self.n_max - 1
             if len(self.explicit_thresholds) != expected:
                 raise ConfigError(
@@ -105,17 +131,23 @@ class DensityConfig:
                 raise ConfigError("explicit T_{n_max} must equal the output threshold")
             if not all(0 < t < math.inf for t in self.explicit_thresholds):
                 raise ConfigError("explicit thresholds must be finite and positive")
-        # Precompute S(n) and T(n) for n = 2..n_max and validate monotonicity.
+        # Precompute S(n) and T(n) for n = 2..n_max, validate monotonicity
+        # and find the table's round unit.
         sizes = [0.0, 0.0] + [self.family.size_weight(n) for n in range(2, self.n_max + 1)]
         thresholds = [0.0, 0.0] + [self._derive_threshold(n) for n in range(2, self.n_max + 1)]
         prev = None
+        unit = math.inf
         for n in range(2, self.n_max + 1):
             tg = thresholds[n] * self.family.norm(n)
-            if prev is not None and tg <= prev:
-                raise ConfigError(
-                    "normalized thresholds T_n * g_n must be strictly increasing"
-                )
+            if prev is not None:
+                if tg <= prev:
+                    raise ConfigError(
+                        "normalized thresholds T_n * g_n must be strictly increasing"
+                    )
+                unit = min(unit, n * (n - 1) * (tg - prev))
             prev = tg
+        if self.explicit_thresholds is not None:
+            object.__setattr__(self, "delta_it", unit)
         object.__setattr__(self, "_sizes", tuple(sizes))
         object.__setattr__(self, "_thresholds", tuple(thresholds))
         # The tolerant bars every density test compares against: T_n - EPS

@@ -129,18 +129,15 @@ class SubgraphIndex:
 
     # -- removal ----------------------------------------------------------------
 
-    def remove(self, node_or_vertices) -> int:
-        """Drop an indexed set; returns the number of tree nodes freed.
+    def remove(self, node: Optional[_Node]) -> int:
+        """Drop the set a node holds; returns the number of tree nodes freed.
 
         The terminal's score is cleared, the entry leaves the star registry,
         and childless nodes that hold no set are pruned toward the root.
         """
-        if isinstance(node_or_vertices, _Node):
-            node = node_or_vertices
-        else:
-            node = self.find(node_or_vertices)
         if node is None or node.score is None:
-            raise IndexError_(f"cannot remove absent set {node_or_vertices}")
+            raise IndexError_(
+                f"cannot remove absent set {None if node is None else node.vs}")
         if node.star_depth:
             self.set_star_depth(node, 0)
         node.score = None

@@ -242,6 +242,8 @@ class EntityDictionary:
         return vid
 
     def token_for(self, vid: int) -> str:
+        if not 1 <= vid <= len(self._tokens):
+            raise IngestError(f"no entity has id {vid}")
         return self._tokens[vid - 1]
 
     def __len__(self) -> int:
@@ -252,8 +254,14 @@ class EntityDictionary:
 
     @classmethod
     def load(cls, path) -> "EntityDictionary":
+        """Read a saved dictionary: a JSON list of distinct tokens, id i at i-1."""
+        tokens = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise IngestError(f"{path}: an entity dictionary is a JSON list of strings")
+        if len(set(tokens)) != len(tokens):
+            raise IngestError(f"{path}: an entity is listed twice")
         d = cls()
-        for token in json.loads(Path(path).read_text(encoding="utf-8")):
+        for token in tokens:
             d.id_for(token)
         return d
 

@@ -23,7 +23,7 @@ WALKTHROUGH_PRE_DENSE = {
 
 @pytest.fixture
 def walkthrough_cfg() -> DensityConfig:
-    return DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,
+    return DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4,
                          explicit_thresholds=(0.9, 0.975, 1.0))
 
 

@@ -28,7 +28,7 @@ def walkthrough_stream(tmp_path):
 
 
 WALKTHROUGH_FLAGS = ["--density", "avgweight", "--threshold", "1.0", "--nmax", "4",
-                     "--delta-it", "0.15", "--thresholds", "0.9,0.975,1.0"]
+                     "--thresholds", "0.9,0.975,1.0"]
 
 
 WALKTHROUGH_FINAL = ["FINAL 1.023333333 1,2,3", "FINAL 1.002333333 1,2,3,4",
@@ -46,6 +46,7 @@ def test_run_emits_the_walkthrough_events_exactly(walkthrough_stream, tmp_path, 
     assert lines[-2:] == ["11 GAIN 1.023333333 1,2,3", "11 GAIN 1.002333333 1,2,3,4"]
     captured = capsys.readouterr()
     assert "updates=11" in captured.err and "peak_index=" in captured.err
+    assert "round_unit=0.150000000 " in captured.err  # implied by --thresholds
     assert "FINAL" not in captured.err and "FINAL" not in "".join(lines)
     assert captured.out.splitlines() == WALKTHROUGH_FINAL
 
@@ -268,12 +269,41 @@ def test_missing_input_file_is_an_error_line(tmp_path, capsys, command):
      "explicit thresholds must be finite"),
     (["run", "--threshold", "inf", "--nmax", "3", "--thresholds", "0.5,inf"],
      "threshold must be finite"),
+    # the table sets the round unit; a NaN unit beside it ended in a traceback
+    (["run", "--nmax", "3", "--thresholds", "0.5,1.0", "--delta-it", "nan"], "--delta-it"),
+    (["run", "--delta-it", "nan"], "outside the valid range"),
+    (["top", "--delta-it", "inf"], "outside the valid range"),
 ])
 def test_bad_option_value_is_an_error_line(tmp_path, capsys, argv, named):
     path = tmp_path / "s.txt"
     path.write_text("1 1 2 0.5\n", encoding="utf-8")
     assert main([*argv, "--updates", str(path)]) == 2
     assert named in _one_error_line(capsys)
+
+
+# Each pair reaches 1.4, the 3-4 pair 0.1, then the 1-2 pair 0.1 and 0.35.  The
+# last update, of 0.25, makes {1,2,3} and {1,2,4} dense and then {1,2,3,4}
+# from them: a chain two rounds long.  Under the table's unit of 0.15 its
+# budget is 2 rounds; a unit of 0.25 gave 1 and left {1,2,3,4} out.
+CHAIN_STREAM = "1 1 3 1.4\n2 1 4 1.4\n3 2 3 1.4\n4 2 4 1.4\n5 3 4 0.1\n6 1 2 0.1\n7 1 2 0.25\n"
+
+
+def test_verify_passes_a_two_round_chain_under_the_table_unit(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(CHAIN_STREAM, encoding="utf-8")
+    flags = ["verify", "--updates", str(path), "--nmax", "4", "--threshold", "1.0",
+             "--thresholds", "0.9,0.975,1.0"]
+    assert main(flags) == 0
+    assert capsys.readouterr().err == "PASS 7 updates, 7 checkpoints\n"
+    assert main([*flags, "--delta-it", "0.25"]) == 2
+    assert "--delta-it" in _one_error_line(capsys)
+
+
+def test_run_reports_the_round_unit_it_was_given(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(CHAIN_STREAM, encoding="utf-8")
+    assert main(["run", "--updates", str(path), "--nmax", "4", "--delta-it", "0.1"]) == 0
+    assert " round_unit=0.100000000 " in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_and_rejects_bad_input(tmp_path):

@@ -77,9 +77,8 @@ def test_normalized_thresholds_strictly_increase():
 
 
 def test_non_increasing_explicit_thresholds_rejected():
-    with pytest.raises(ConfigError):
-        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,
-                      explicit_thresholds=(1.0, 0.9, 1.0))
+    with pytest.raises(ConfigError, match="must be strictly increasing"):
+        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, explicit_thresholds=(1.0, 0.9, 1.0))
 
 
 @pytest.mark.parametrize("threshold, n_max, explicit", [
@@ -91,15 +90,15 @@ def test_non_increasing_explicit_thresholds_rejected():
     (math.nan, 3, None),
 ])
 def test_non_finite_thresholds_rejected(threshold, n_max, explicit):
+    delta_it = None if explicit else 0.1
     with pytest.raises(ConfigError, match="must be finite"):
-        DensityConfig(DensityFamily.AVGWEIGHT, threshold, n_max, 0.1,
+        DensityConfig(DensityFamily.AVGWEIGHT, threshold, n_max, delta_it,
                       explicit_thresholds=explicit)
 
 
 def test_explicit_thresholds_must_end_at_output_threshold():
-    with pytest.raises(ConfigError):
-        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,
-                      explicit_thresholds=(0.9, 0.975, 1.01))
+    with pytest.raises(ConfigError, match="must equal the output threshold"):
+        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, explicit_thresholds=(0.9, 0.975, 1.01))
 
 
 # -- delta_it validity -------------------------------------------------------------
@@ -116,10 +115,60 @@ def test_delta_it_upper_degenerate_cardinality():
 
 def test_delta_it_outside_range_rejected():
     upper = delta_it_upper(DensityFamily.AVGWEIGHT, 1.0, 4)
-    with pytest.raises(ConfigError):
-        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, upper)
-    with pytest.raises(ConfigError):
-        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, -0.1)
+    for delta_it in (upper, -0.1, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="outside the valid range"):
+            DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, delta_it)
+
+
+def test_derived_schedule_needs_a_delta_it():
+    with pytest.raises(ConfigError, match="delta_it is required"):
+        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4)
+
+
+# -- the round unit of an explicit schedule ------------------------------------------
+
+def test_walkthrough_table_implies_its_round_unit():
+    cfg = DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, explicit_thresholds=(0.9, 0.975, 1.0))
+    # tau = (0.45, 0.4875, 0.5): 6 * 0.0375 = 0.225 at n = 3, 12 * 0.0125 = 0.15 at n = 4
+    assert cfg.delta_it == pytest.approx(0.15, abs=1e-12)
+    assert cfg.iteration_budget(0.15) == 1
+    assert cfg.iteration_budget(0.25) == 2
+
+
+@pytest.mark.parametrize("delta_it", [0.15, 0.25, math.nan, math.inf])
+def test_delta_it_beside_explicit_thresholds_rejected(delta_it):
+    # a second description of the schedule: 0.25 let a chain go unexplored
+    with pytest.raises(ConfigError, match="read from explicit thresholds"):
+        DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, delta_it,
+                      explicit_thresholds=(0.9, 0.975, 1.0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_explicit_round_unit_is_the_smallest_scaled_spacing(family):
+    rng = random.Random(2103)
+    for n_max in (3, 4, 6, 9):
+        for _ in range(20):
+            tau = [0.0, 0.0, rng.uniform(0.05, 1.0)]
+            for _n in range(3, n_max + 1):
+                tau.append(tau[-1] + rng.uniform(1e-3, 0.3))
+            table = tuple(tau[n] / family.norm(n) for n in range(2, n_max + 1))
+            cfg = DensityConfig(family, table[-1], n_max, explicit_thresholds=table)
+            spacings = [n * (n - 1) * (family.norm(n) * cfg.threshold_for(n)
+                                       - family.norm(n - 1) * cfg.threshold_for(n - 1))
+                        for n in range(3, n_max + 1)]
+            assert cfg.delta_it == min(spacings)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_derived_schedule_keeps_its_delta_it(family):
+    # its table's unit is delta_it * n_max / (n_max - 2), never below delta_it
+    for n_max in (3, 5, 9):
+        delta_it = 0.4 * delta_it_upper(family, 1.2, n_max)
+        cfg = DensityConfig(family, 1.2, n_max, delta_it)
+        assert cfg.delta_it == delta_it
+        table = tuple(cfg.threshold_for(n) for n in range(2, n_max + 1))
+        implied = DensityConfig(family, 1.2, n_max, explicit_thresholds=table).delta_it
+        assert implied == pytest.approx(delta_it * n_max / (n_max - 2), rel=1e-9)
 
 
 # -- per-round reduction identity --------------------------------------------------

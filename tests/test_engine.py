@@ -232,8 +232,7 @@ def test_expanded_view_filters_output_density():
     derived_cfg(0.4, 0.7, 8, DensityFamily.AVGWEIGHT),
     derived_cfg(0.3, 1.0, 6, DensityFamily.AVGDEGREE),
     derived_cfg(0.6, 1.4, 5, DensityFamily.SQRTDENS),
-    DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, 0.15,
-                  explicit_thresholds=(0.9, 0.975, 1.0)),
+    DensityConfig(DensityFamily.AVGWEIGHT, 1.0, 4, explicit_thresholds=(0.9, 0.975, 1.0)),
 ], ids=["avgweight", "avgdegree", "sqrtdens", "explicit"])
 def test_engine_density_tables_decide_as_the_config(cfg):
     engine = DenseSubgraphEngine(cfg)

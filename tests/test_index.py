@@ -87,7 +87,7 @@ def test_extend_lookup_absent_extension():
 
 def test_remove_keeps_shared_prefix_alive():
     idx = build_five_set_index()
-    assert idx.remove((1, 3, 4)) == 1
+    assert idx.remove(idx.entry((1, 3, 4))) == 1
     assert idx.entry((1, 3)) is not None
     assert idx.entry((1, 3, 4)) is None
     idx.audit()
@@ -95,9 +95,9 @@ def test_remove_keeps_shared_prefix_alive():
 
 def test_remove_cascades_once_nothing_depends_on_the_path():
     idx = build_five_set_index()
-    idx.remove((1, 3, 4))
-    assert idx.remove((1, 3, 5)) == 1
-    assert idx.remove((1, 3)) == 2  # the 3 node and the 1 node both go
+    idx.remove(idx.entry((1, 3, 4)))
+    assert idx.remove(idx.entry((1, 3, 5))) == 1
+    assert idx.remove(idx.entry((1, 3))) == 2  # the 3 node and the 1 node both go
     assert idx.find((1,)) is None
     idx.audit()
 
@@ -105,7 +105,7 @@ def test_remove_cascades_once_nothing_depends_on_the_path():
 def test_remove_prunes_meta_free_interior_nodes():
     idx = build_five_set_index()
     # (3,4) and (3,) carry no score, so removing (3,4,5) frees that whole limb
-    assert idx.remove((3, 4, 5)) == 3
+    assert idx.remove(idx.entry((3, 4, 5))) == 3
     assert idx.find((3, 4)) is None
     idx.audit()
 
@@ -113,7 +113,11 @@ def test_remove_prunes_meta_free_interior_nodes():
 def test_remove_absent_set_is_an_error():
     idx = build_five_set_index()
     with pytest.raises(IndexError_):
-        idx.remove((1, 4))
+        idx.remove(idx.entry((1, 4)))
+    with pytest.raises(IndexError_, match=r"\(3, 4\)"):
+        idx.remove(idx.find((3, 4)))  # an interior node that holds no set
+    assert len(idx) == 5
+    idx.audit()
 
 
 def test_iterate_containing_visits_each_set_once():
@@ -186,7 +190,7 @@ def test_star_parents_deduplicates_chains():
 def test_removing_an_entry_drops_its_chain():
     idx = build_five_set_index()
     idx.set_star_depth(idx.entry((4, 5)), 2)
-    freed = idx.remove((4, 5))
+    freed = idx.remove(idx.entry((4, 5)))
     assert freed == 2  # the 5 leaf and the 4 node
     assert list(idx.star_parents()) == []
     idx.audit()
@@ -331,6 +335,6 @@ def test_structural_audit_through_random_mutation():
             idx.set_star_depth(node, rng.randint(0, 2))
         else:
             vs = live.pop(rng.randrange(len(live)))
-            idx.remove(vs)
+            idx.remove(idx.entry(vs))
         idx.audit()
     assert len(idx) == len(live)

@@ -500,6 +500,29 @@ def test_entity_dictionary_roundtrip(tmp_path):
     assert loaded.token_for(1) == "osama"
 
 
+@pytest.mark.parametrize("text, named", [
+    ('["a", "a", "b"]', "listed twice"),  # would give b id 2 where the file says 3
+    ('{"a": 1}', "list of strings"),       # would load as ["a"]
+    ('[1, 2]', "list of strings"),
+    ('["a", null]', "list of strings"),
+    ('"ab"', "list of strings"),
+])
+def test_entity_dictionary_load_refuses_a_file_that_is_not_its_list(tmp_path, text, named):
+    path = tmp_path / "entities.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError, match=named):
+        EntityDictionary.load(path)
+
+
+@pytest.mark.parametrize("vid", [0, -1, 3])
+def test_entity_dictionary_knows_only_its_own_ids(vid):
+    d = EntityDictionary()
+    d.id_for("a")
+    d.id_for("b")
+    with pytest.raises(IngestError, match=f"no entity has id {vid}"):
+        d.token_for(vid)
+
+
 def test_document_line_parsing():
     assert parse_document_line("123\ta,b,c") == (123.0, ["a", "b", "c"])
     assert parse_document_line("99\t") == (99.0, [])
