@@ -22,6 +22,15 @@ Growth builds no merged neighborhood: it walks the adjacent vertices and
 sums a coordinate only for an extension it probes, in the order
 ``merged_neighborhood`` sums it.
 
+A growth loop over P finds nothing new once P+y is indexed for every vertex
+y adjacent to P; scores play no part.  A loop that probes nothing stores on
+P's node the sum of its members' link counters, which an update bumps at both
+endpoints when it moves their weight up from 0.  Two events break that
+certificate: a member gains a neighbor, raising the sum, or some P+y is
+removed, which clears the sum stored on each P+y-v.  Removal happens only in
+``_negative`` (growth and the explicit expansion only insert), so while the
+sum holds the loop is skipped: it would probe, and count, nothing.
+
 Sets dense enough to absorb any further vertex for free are star cores
 with a star depth k: they stand for every extension by up to k vertices
 contributing no weight.  The depth is a pure function of (score,
@@ -79,6 +88,7 @@ class EngineStats:
     cheap_explores: int = 0
     star_scans: int = 0
     peak_entries: int = 0
+    skipped_loops: int = 0
 
 
 def _with(vs: tuple[int, ...], y: int) -> tuple[int, ...]:
@@ -99,8 +109,9 @@ class DenseSubgraphEngine:
         self.star_mode = star_mode
         self.iteration_cap = iteration_cap  # overrides the derived round budget
         self.stats = EngineStats()
-        # sets admitted this update -> (round found, score at admission)
-        self._round: dict[tuple[int, ...], tuple[int, float]] = {}
+        # sets admitted this update -> (round found, node)
+        self._round: dict[tuple[int, ...], tuple[int, _Node]] = {}
+        self._links: dict[int, int] = {}  # vertex -> times it gained a neighbor
         self._events: list[DensityEvent] = []
         self._dirty: set = set()  # star cores pending expansion (explicit mode)
         # per-update context
@@ -128,6 +139,9 @@ class DenseSubgraphEngine:
         w_before, w_after = self.graph.apply_update(a, b, delta)
         if w_after == 0.0:
             delta = -w_before  # the graph clamped the weight: scores follow it
+        elif w_before == 0.0:  # a and b become neighbors: certificates lapse
+            links = self._links
+            links[a], links[b] = links.get(a, 0) + 1, links.get(b, 0) + 1
         self.stats.updates += 1
         self._events = []
         self._seq = seq
@@ -239,6 +253,9 @@ class DenseSubgraphEngine:
             if node.score / sizes[card] >= out_bar:
                 self._emit(LOSE, vs, s_new / sizes[card])
             self.index.remove(node)
+            for k in range(card):  # vs minus one vertex may hold a certificate
+                if (sub := self.index.find(vs[:k] + vs[k + 1:])) is not None:
+                    sub.certified = None
 
     # -- positive updates ------------------------------------------------------------------
 
@@ -274,7 +291,7 @@ class DenseSubgraphEngine:
         # Outward search, in traversal order.
         for node, vs, other in work:
             if other is None:
-                self._explore(vs, node.score, 1)
+                self._explore(node, 1)
             else:
                 self._cheap_explore(vs, node.score, other)
 
@@ -282,12 +299,13 @@ class DenseSubgraphEngine:
         for node in cores:
             self._star_scan(node)
 
-    def _explore(self, vs: tuple[int, ...], score: float, i: int) -> None:
+    def _explore(self, node: _Node, i: int) -> None:
         """Grow around an indexed set containing both endpoints (round ``i``).
 
         Extensions in ``_known`` (indexed before the update) are not probed;
         only a probed extension gets its coordinate of the merged neighborhood.
         """
+        vs, score = node.vs, node.score
         card = len(vs)
         if card >= self.cfg.n_max:
             return
@@ -297,11 +315,17 @@ class DenseSubgraphEngine:
         if i > self._budget:
             return
         self.stats.explore_calls += 1
-        known = self._known
-        members = set(vs)  # the order merged_neighborhood sums in
-        for y in sorted(self.graph.adjacent(vs)):
-            evs = _with(vs, y)
-            if evs not in known:
+        stamp = sum([self._links.get(v, 0) for v in vs])
+        if node.certified == stamp:
+            self.stats.skipped_loops += 1
+        else:
+            known = self._known
+            fresh = [(evs, y) for y in sorted(self.graph.adjacent(vs))
+                     if (evs := _with(vs, y)) not in known]
+            if not fresh:
+                node.certified = stamp
+            members = set(vs)  # the order merged_neighborhood sums in
+            for evs, y in fresh:
                 self._probe(evs, score + self._coordinate(members, y), i)
         if score / size >= bar and card + 2 <= self.cfg.n_max and i + 1 <= self._budget:
             # Newly able to absorb any vertex: extensions by a disconnected
@@ -386,11 +410,11 @@ class DenseSubgraphEngine:
         self.stats.probes += 1
         admitted = self._round.get(vs)
         if admitted is not None:
-            t, s = admitted
+            t, node = admitted
             if t > i:
                 # reachable in fewer rounds than first thought: explore deeper
-                self._round[vs] = (i, s)
-                self._explore(vs, s, i + 1)
+                self._round[vs] = (i, node)
+                self._explore(node, i + 1)
             return
         card = len(vs)
         if score / self._sizes[card] >= self._bars[card]:
@@ -405,11 +429,11 @@ class DenseSubgraphEngine:
         # star core): treat like any other stored stable set from here on.
         stable = (score - self._delta) / size >= self._bars[card]
         node = self.index.insert(vs, score)
-        self._round[vs] = (0 if stable else i, score)
+        self._round[vs] = (0 if stable else i, node)
         if score / size >= self._out_bar:
             self._emit(GAIN, vs, score / size)
         self._maintain_closure(node, vs)
-        self._explore(vs, score, 1 if stable else i + 1)
+        self._explore(node, 1 if stable else i + 1)
 
     # -- score and star-depth upkeep --------------------------------------------------------
 
@@ -424,7 +448,11 @@ class DenseSubgraphEngine:
         self._maintain_closure(node, vs)
 
     def _maintain_closure(self, node: _Node, vs: tuple[int, ...]) -> None:
-        depth = self.cfg.free_extension_depth(len(vs), node.score)
+        card = len(vs)
+        if not node.star_depth and (card == self.cfg.n_max or node.score
+                                    / self._sizes[card + 1] < self._bars[card + 1]):
+            return  # depth 0 before and after, by free_extension_depth's first test
+        depth = self.cfg.free_extension_depth(card, node.score)
         if depth != node.star_depth:
             grew = depth > node.star_depth
             self.index.set_star_depth(node, depth)

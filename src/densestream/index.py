@@ -32,16 +32,18 @@ class _Node:
     ``vs`` is the sorted vertex tuple of the path to the node; its last
     vertex is the node's label.  ``star_depth`` is how many free vertices
     the entry can absorb; it is nonzero exactly when the node is in its
-    index's star registry.
+    index's star registry.  ``certified`` holds the engine's growth
+    certificate (see the engine module), or None.
     """
 
-    __slots__ = ("vs", "children", "score", "star_depth")
+    __slots__ = ("vs", "children", "score", "star_depth", "certified")
 
     def __init__(self, vs: tuple[int, ...]):
         self.vs = vs
         self.children: dict = {}
         self.score: Optional[float] = None
         self.star_depth = 0
+        self.certified: Optional[int] = None
 
     def __repr__(self):  # debugging aid only
         return f"<node {self.vs}>"

@@ -7,6 +7,7 @@ import pytest
 from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
                          SyntheticSpec, WeightedGraph, delta_it_upper, generate)
 from densestream.density import EPS
+from densestream.engine import _with
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
@@ -379,6 +380,19 @@ def test_single_round_suffices_for_small_updates():
                                  unlimited.state_signature())
 
 
+def _removal_update(rng, g: WeightedGraph):
+    """One random update on 8 vertices; a quarter of those on an edge take
+    all of its weight back."""
+    a, b = sorted(rng.sample(range(1, 9), 2))
+    w = g.weight(a, b)
+    r = rng.random()
+    if r < 0.25 and w > 0:
+        return a, b, -w
+    if r < 0.4 and w > 0:
+        return a, b, -round(rng.uniform(0.0, w), 9)
+    return a, b, round(rng.uniform(1e-3, 0.8), 9)
+
+
 def test_engine_matches_oracle_under_edge_removals():
     # full cancellations flip vertices between connected and free, the
     # transition the star chains must track
@@ -387,16 +401,7 @@ def test_engine_matches_oracle_under_edge_removals():
         g = WeightedGraph(); g.ensure_universe(8)
         engine = DenseSubgraphEngine(cfg, g)
         for seq in range(1, 301):
-            a, b = sorted(rng.sample(range(1, 9), 2))
-            w = g.weight(a, b)
-            r = rng.random()
-            if r < 0.25 and w > 0:
-                delta = -w
-            elif r < 0.4 and w > 0:
-                delta = -round(rng.uniform(0.0, w), 9)
-            else:
-                delta = round(rng.uniform(1e-3, 0.8), 9)
-            engine.process_update(a, b, delta, seq)
+            engine.process_update(*_removal_update(rng, g), seq)
             truth = brute_force_dense(g, cfg, strategy="levelwise")
             dense_view, output_view = engine.snapshot_views(True)
             assert diff(dense_view, truth.dense) == []
@@ -506,11 +511,17 @@ PINNED_REPLAY_WORK = {
 }
 
 
+# growth loops skipped under a certificate after each replay, beside the work
+# above: skipping a loop changes none of those five counts
+PINNED_REPLAY_SKIPS = {0: 16, 1: 17, 2: 8, 3: 29, 4: 3}
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_REPLAY_WORK))
 def test_search_work_is_pinned_on_deep_star_replays(seed):
     st = _deep_star_run(seed, star_mode=seed % 5 != 4)[0].stats
     assert (st.probes, st.rejected_probes, st.explore_calls, st.cheap_explores,
             st.star_scans) == PINNED_REPLAY_WORK[seed]
+    assert st.skipped_loops == PINNED_REPLAY_SKIPS[seed]
 
 
 def _reference_scan_order(engine, a: int, b: int) -> list:
@@ -643,6 +654,54 @@ def test_a_probed_set_is_indexed_exactly_when_the_update_tables_hold_it():
     # every case is met, on the star-heavy replays and on the plateau alike
     assert {"known", "admitted", "absent"} == {c for log in logs[:-1] for c in log}
     assert {"known", "admitted", "absent"} == set(logs[-1])
+
+
+def check_certificates(engine: DenseSubgraphEngine) -> list:
+    """Run every growth loop a certificate skips anyway, and check that it
+    would probe nothing: each extension of the set along an edge is in
+    ``_known``.
+
+    The certificate holds when the node's stored sum equals its members'
+    link counters now.  Wraps ``_explore`` on this engine instance; returns
+    a list that gets the set of each call made under a certificate.
+    """
+    held: list = []
+    explore, links = engine._explore, engine._links
+
+    def checked(node, i):
+        vs = node.vs
+        if node.certified == sum(links.get(v, 0) for v in vs):
+            missed = [y for y in engine.graph.adjacent(vs)
+                      if _with(vs, y) not in engine._known]
+            assert missed == [], (vs, missed)
+            held.append(vs)
+        explore(node, i)
+
+    engine._explore = checked
+    return held
+
+
+def test_a_certified_growth_loop_would_probe_nothing():
+    deep = []
+    for seed in range(60):
+        _deep_star_run(seed, star_mode=seed % 5 != 4,
+                       watch=lambda engine: deep.append(check_certificates(engine)))
+    assert sum(map(len, deep)) > 1000 and any(deep[4::5])  # both modes
+    g = WeightedGraph(); g.ensure_universe(PLATEAU_SPEC.vertex_count)
+    engine = DenseSubgraphEngine(PLATEAU_SPEC.gate_config(), g)
+    plateau = check_certificates(engine)
+    for u in generate(PLATEAU_SPEC):
+        engine.process(u)
+    assert len(plateau) >= engine.stats.skipped_loops > 10000  # some calls stop at a guard
+    rng = random.Random(4646)
+    removals = []
+    for cfg in _random_cfgs(rng, 8):
+        g = WeightedGraph(); g.ensure_universe(8)
+        engine = DenseSubgraphEngine(cfg, g, star_mode=rng.random() < 0.75)
+        removals.append(check_certificates(engine))
+        for seq in range(1, 301):
+            engine.process_update(*_removal_update(rng, g), seq)
+    assert sum(map(len, removals)) > 100
 
 
 # -- updates the graph stores as a smaller change ---------------------------------------
