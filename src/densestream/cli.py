@@ -200,8 +200,8 @@ def cmd_ingest(args) -> int:
                 count += 1
     if args.dictionary:
         dictionary.save(args.dictionary)
-    print(f"updates={count} entities={len(dictionary)}"
-          f" pairs_visited={ingestor.pairs_reweighed} pairs_tabled={ingestor.pairs_tabled}"
+    print(f"updates={count} entities={len(dictionary)} pairs_visited={ingestor.pairs_reweighed}"
+          f" pairs_tabled={ingestor.pairs_tabled} pairs_screened={ingestor.pairs_screened}"
           f" live_cells={ingestor.counts.live_cells} hot={ingestor.hot_entities}",
           file=sys.stderr)
     return 0

@@ -100,14 +100,13 @@ class DenseSubgraphEngine:
     """Single-writer engine owning the graph and the dense-set index."""
 
     def __init__(self, cfg: DensityConfig, graph: Optional[WeightedGraph] = None,
-                 star_mode: bool = True, iteration_cap: Optional[int] = None):
+                 star_mode: bool = True):
         self.cfg = cfg
         # DensityConfig's tables, read here without its cardinality checks
         self._sizes, self._bars, self._out_bar = cfg._sizes, cfg._bars, cfg._out_bar
         self.graph = graph if graph is not None else WeightedGraph()
         self.index = SubgraphIndex(validator=cfg.is_dense)
         self.star_mode = star_mode
-        self.iteration_cap = iteration_cap  # overrides the derived round budget
         self.stats = EngineStats()
         # sets admitted this update -> (round found, node)
         self._round: dict[tuple[int, ...], tuple[int, _Node]] = {}
@@ -133,8 +132,7 @@ class DenseSubgraphEngine:
         An update rejected for its input raises before any state changes.
         """
         if delta > 0:  # first: an overflowing budget must reject the update unapplied
-            self._budget = (self.iteration_cap if self.iteration_cap is not None
-                            else self.cfg.iteration_budget(delta))
+            self._budget = self.cfg.iteration_budget(delta)
         prev_universe = self.graph.num_vertices
         w_before, w_after = self.graph.apply_update(a, b, delta)
         if w_after == 0.0:

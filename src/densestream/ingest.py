@@ -16,12 +16,27 @@ endpoints appeared.  That staleness approximation is what makes incremental
 emission possible.
 
 Each document reads the total and its own entities' occurrences once; it
-has just touched them, so they need no decay.  Under llr a pair is then
-gated in order: the document entity's support, then the partner's decayed
-count, and only then are the co-occurrence decayed and the table built.
-Decay never raises a count: c * exp(-dt/tau) <= c holds also in floating
-point, for dt >= 0 and a finite tau > 0, which is why the mean life must
-be finite.
+has just touched them, so they need no decay.  A pair then passes llr's
+support gates (the document entity's, then the partner's decayed count)
+and a screen, and only then are its co-occurrence decayed and its table
+built.  Decay never raises a count: c * exp(-dt/tau) <= c holds also in
+floating point, for dt >= 0 and a finite tau > 0, which is why the mean
+life must be finite.
+
+The screen (``settles_at_zero``) weighs a pair 0 with no exp, table or
+log.  The stored co-occurrence bounds the decayed k11, so D = stored*n -
+k1*k2 bounds phi's numerator k11*n - k1*k2: D <= -1e-9*k1*k2 gives phi <=
+0.  Else X2 = n*D^2 / (k1(n-k1)*k2(n-k2)) bounds Pearson's statistic,
+which rises with k11 where phi > 0, and G <= 2*X2 (ln x <= x - 1 in each
+cell; G as in Dunning, 1993): c*X2 < crit*(1 - 1e-6) settles the pair,
+with c = 2 against 6.635 for llr and 1 against 3.841 for chi2.  Rounding
+(u = 2^-53): in the phi test, D and the table's n11*n00 - n10*n01 round
+within 8u*k1*k2, and only n00 can clamp, leaving -n10*n01.  The X2 test
+runs only while n*k1*k2 <= 1e8*(n-k1)(n-k2): as n >= 1, the table's n - k1
+and n - k2 then round within 6u*1e8 < 1e-7 relative and D moves X2 by
+under 1e-9; llr's log sum rounds within about 6u*n, inside the margin for
+n < 1e9.  Unguarded, n = 5 + 2^-50 and k1 = k2 = k11 = 5 read X2 = 3.2
+from D, where the table reads 5 and chi2 weighs 1.
 
 Under llr a post visits only the partners whose weight can move.  A pair
 weighs 0 while either support is below 5, so a pair whose last emitted
@@ -38,7 +53,6 @@ pairs keep their order, so the emitted stream is the one of visiting every
 partner.  A pair of two post entities is weighed once, from the smaller:
 a weighted pair is listed from both sides, and an unweighted pair the
 larger visits has both entities hot, so the smaller visited it first.
-
 Retirement is exact: a retired entity stays below 5 until its next post
 re-adds it, because its decayed count never rises between touches.  That
 assumes ``exp`` is monotone in the elapsed time, as the clock never runs
@@ -124,12 +138,14 @@ class DecayedCounts:
         return 0.0 if cell is None else self._decayed(cell[0], cell[1], t)
 
     def stored_occurrence(self, e: str) -> float:
-        """Occurrence count of e as of its last touch.
-
-        Decay never raises a count, so this bounds the decayed count at any
-        later time from above, and costs no ``exp``.
-        """
+        """Occurrence of e as of its last touch: as decay never raises a count,
+        a bound on the decayed count at any later time, with no ``exp``."""
         cell = self._occ.get(e)
+        return 0.0 if cell is None else cell[0]
+
+    def stored_cooccurrence(self, e1: str, e2: str) -> float:
+        """Co-occurrence of e1 and e2 as of its last touch, bounding it as above."""
+        cell = self._co.get(e1, {}).get(e2)
         return 0.0 if cell is None else cell[0]
 
     def cooccurrence(self, e1: str, e2: str, t: float) -> float:
@@ -156,13 +172,6 @@ class DecayedCounts:
 def _table(n: float, k1: float, k2: float,
            k11: float) -> tuple[float, float, float, float]:
     return k11, max(k1 - k11, 0.0), max(k2 - k11, 0.0), max(n - k1 - k2 + k11, 0.0)
-
-
-def contingency_table(counts: DecayedCounts, e1: str, e2: str,
-                      t: float) -> tuple[float, float, float, float]:
-    """(n11, n10, n01, n00) of decayed counts at time t, clamped at zero."""
-    return _table(counts.total(t), counts.occurrence(e1, t),
-                  counts.occurrence(e2, t), counts.cooccurrence(e1, e2, t))
 
 
 def g_statistic(n11: float, n10: float, n01: float, n00: float) -> float:
@@ -216,6 +225,21 @@ def table_weight(measure: AssociationMeasure, n: float, k1: float, k2: float,
     if chi2_statistic(*table) > CHI2_CRITICAL:
         return max(phi_coefficient(*table), 0.0)
     return 0.0
+
+
+def settles_at_zero(measure: AssociationMeasure, n: float, k1: float, k2: float,
+                    k11_bound: float) -> bool:
+    """Whether the pair weighs 0 at every k11 <= k11_bound (module docstring)."""
+    kk = k1 * k2
+    d = k11_bound * n - kk
+    if d <= -1e-9 * kk:
+        return True
+    n1, n2 = n - k1, n - k2
+    if n1 <= 0.0 or n * kk > 1e8 * n1 * n2:
+        return False  # near a degenerate table
+    if measure is AssociationMeasure.LLR_THRESHOLDED:
+        return 2.0 * n * d * d < LLR_CRITICAL * (1 - 1e-6) * kk * n1 * n2
+    return n * d * d < CHI2_CRITICAL * (1 - 1e-6) * kk * n1 * n2
 
 
 def association_weight(counts: DecayedCounts, measure: AssociationMeasure | str,
@@ -272,11 +296,11 @@ class DocumentIngestor:
     After each document only the pairs incident to its entities are
     recomputed; an update is emitted when a recomputed weight moved by more
     than the comparison tolerance.  Under llr a post visits only the
-    partners whose weight can move (see the module docstring).  Plain
-    counters report the work done so far: pairs visited
-    (``pairs_reweighed``), pairs whose contingency table was built, and
-    updates emitted; ``counts.live_cells`` and ``hot_entities`` gauge the
-    state held.
+    partners whose weight can move, and a screen settles most visited pairs
+    at 0 before any table (module docstring).  Plain counters report the
+    work done so far: pairs visited (``pairs_reweighed``), tabled and
+    screened, and updates emitted; ``counts.live_cells`` and
+    ``hot_entities`` gauge the state held.
     """
 
     def __init__(self, measure: AssociationMeasure | str = AssociationMeasure.CHI2_CORRELATION,
@@ -290,6 +314,7 @@ class DocumentIngestor:
         self._seq = 0
         self.pairs_reweighed = 0
         self.pairs_tabled = 0
+        self.pairs_screened = 0
         self.updates_emitted = 0
 
     @property
@@ -300,18 +325,12 @@ class DocumentIngestor:
     def process_document(self, t: float, entities: Iterable[str]) -> list[EdgeUpdate]:
         """Count a document, then re-weigh the pairs incident to its entities.
 
-        Emits one update per pair whose weight moved by more than the
-        tolerance, with consecutive sequence numbers.  A rejected document
-        changes nothing.  A pair of two post entities is weighed from the
-        smaller one only.
-
-        Under llr a post entity e visits its weighted partners and, when its
-        own support is at least 5, its hot partners, in sorted order.  A
-        visited partner x weighs 0, with no ``exp``, when e's support is
-        below the bar.  Otherwise x's count is decayed once and gated,
-        retiring x from the hot set when below the bar, and only then is the
-        co-occurrence decayed and the table built.  chi2 visits every
-        partner.
+        Emits one update per moved weight, with consecutive sequence
+        numbers; a rejected document changes nothing.  A pair of two post
+        entities is weighed from the smaller one only.  Under llr a post
+        entity visits its weighted partners and, at a support of 5 or more,
+        its hot partners, in sorted order; chi2 visits every partner.  Only a
+        pair the screen leaves open builds its table.
         """
         counts = self.counts
         posted = set(entities)
@@ -332,7 +351,7 @@ class DocumentIngestor:
                     hot.discard(e)
         weights = self._weights
         updates: list[EdgeUpdate] = []
-        reweighed = tabled = 0
+        reweighed = tabled = screened = 0
         for e in ents:
             k_e = counts.occurrence(e, t)
             closed = gated and k_e < LLR_MIN_SUPPORT
@@ -355,6 +374,8 @@ class DocumentIngestor:
                         hot.discard(x)  # below 5 until its next post
                         if old_w == 0.0:
                             continue  # weighed 0 and still does
+                    elif settles_at_zero(measure, n, k_e, k_x, counts.stored_cooccurrence(e, x)):
+                        screened += 1
                     else:
                         tabled += 1
                         k11 = counts.cooccurrence(e, x, t)
@@ -380,6 +401,7 @@ class DocumentIngestor:
                         weights.setdefault(x, {})[e] = new_w
         self.pairs_reweighed += reweighed
         self.pairs_tabled += tabled
+        self.pairs_screened += screened
         self.updates_emitted += len(updates)
         return updates
 

@@ -1,9 +1,12 @@
+import copy
 import random
+from typing import Optional
 
 import pytest
 
 from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
                          WeightedGraph, delta_it_upper)
+from densestream.ingest import DecayedCounts, _table
 
 # Five-vertex walkthrough fixture: four heavy pairs, one almost-dense pair
 # (3,4), a weak hub vertex 5, and the (1,2) edge sitting just below the pair
@@ -83,3 +86,22 @@ def random_update(rng: random.Random, graph: WeightedGraph, vertices: int,
 def fraction_of_max(family: DensityFamily, threshold: float, n_max: int,
                     fraction: float) -> float:
     return fraction * delta_it_upper(family, threshold, n_max)
+
+
+def round_capped_engine(cfg: DensityConfig, graph: WeightedGraph,
+                        cap: Optional[int] = None) -> DenseSubgraphEngine:
+    """An engine that gives every positive update `cap` rounds in place of
+    ceil(delta / delta_it), the reference for "enough rounds"; with no cap,
+    a plain engine."""
+    if cap is not None:
+        cfg = copy.copy(cfg)  # frozen: the override goes past its guard
+        object.__setattr__(cfg, "iteration_budget", lambda delta: cap)
+    return DenseSubgraphEngine(cfg, graph)
+
+
+def contingency_table(counts: DecayedCounts, e1: str, e2: str,
+                      t: float) -> tuple[float, float, float, float]:
+    """(n11, n10, n01, n00) of decayed counts at time t, clamped at zero, as
+    ``table_weight`` builds it."""
+    return _table(counts.total(t), counts.occurrence(e1, t),
+                  counts.occurrence(e2, t), counts.cooccurrence(e1, e2, t))

@@ -17,11 +17,12 @@ from densestream import (DenseSubgraphEngine, DensityConfig, DensityFamily,
                          generate, rerank_diverse)
 from densestream.ingest import (AssociationMeasure, DecayedCounts,
                                 DocumentIngestor, association_weight,
-                                chi2_statistic, contingency_table, g_statistic)
+                                chi2_statistic, g_statistic)
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
-                            build_walkthrough_graph, record_probes)
+                            build_walkthrough_graph, contingency_table,
+                            record_probes, round_capped_engine)
 
 FAMILIES = list(DensityFamily)
 
@@ -157,7 +158,7 @@ def test_acceptance_4_round_budget_sufficiency():
         for cap in (None, n_max + 3):
             g = WeightedGraph()
             g.ensure_universe(vertices)
-            engine = DenseSubgraphEngine(cfg, g, iteration_cap=cap)
+            engine = round_capped_engine(cfg, g, cap)
             for seq, (a, b, d) in enumerate(stream, 1):
                 engine.process_update(a, b, d, seq)
             signatures.append(engine.state_signature())
@@ -179,7 +180,7 @@ def test_acceptance_4_round_budget_sufficiency():
         for cap in (None, n_max + 3):
             g = WeightedGraph()
             g.ensure_universe(vertices)
-            engines.append(DenseSubgraphEngine(cfg, g, iteration_cap=cap))
+            engines.append(round_capped_engine(cfg, g, cap))
         capped, lifted = engines
         for seq, (a, b, d) in enumerate(stream, 1):
             capped.process_update(a, b, d, seq)

@@ -197,6 +197,7 @@ def test_ingest_reports_its_work_counters(tmp_path, capsys):
     assert report == {"updates": str(updates), "entities": "4",
                       "pairs_visited": str(ing.pairs_reweighed),
                       "pairs_tabled": str(ing.pairs_tabled),
+                      "pairs_screened": str(ing.pairs_screened),
                       "live_cells": "4", "hot": str(ing.hot_entities)}
     assert 0 < ing.pairs_tabled <= ing.pairs_reweighed
     assert ing.hot_entities == 2  # a and b

@@ -11,7 +11,7 @@ from densestream.engine import _with
 from densestream.oracle import brute_force_dense, diff
 from densestream.streams import format_event
 from tests.conftest import (WALKTHROUGH_PRE_DENSE, build_walkthrough_engine,
-                            random_update, record_probes)
+                            random_update, record_probes, round_capped_engine)
 
 
 # -- the five-vertex walkthrough -----------------------------------------------------
@@ -86,7 +86,7 @@ def test_set_admitted_this_update_grows_again_from_a_lower_round():
     family = DensityFamily.AVGDEGREE
     cfg = DensityConfig(family, 1.0, 5, 0.18722127345784303 * delta_it_upper(family, 1.0, 5))
     g = WeightedGraph(); g.ensure_universe(5)
-    engine = DenseSubgraphEngine(cfg, g, iteration_cap=2)
+    engine = round_capped_engine(cfg, g, 2)
     for seq, (a, b, delta) in enumerate([(1, 5, 1.36), (3, 4, 0.69), (2, 3, 1.33)], 1):
         engine.process_update(a, b, delta, seq)
     assert (2, 3, 4, 5) not in engine.state_signature()
@@ -332,7 +332,7 @@ def test_star_and_explicit_modes_agree_on_random_streams():
 def _replay_stream(cfg, stream, vertices, cap=None):
     g = WeightedGraph()
     g.ensure_universe(vertices)
-    engine = DenseSubgraphEngine(cfg, g, iteration_cap=cap)
+    engine = round_capped_engine(cfg, g, cap)
     for seq, (a, b, d) in enumerate(stream, 1):
         engine.process_update(a, b, d, seq)
     return engine

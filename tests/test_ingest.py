@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from densestream import EPS, EdgeUpdate, WeightedGraph
-from densestream.ingest import (AssociationMeasure, DecayedCounts,
+from densestream.ingest import (CHI2_CRITICAL, LLR_CRITICAL,
+                                AssociationMeasure, DecayedCounts,
                                 DocumentIngestor, EntityDictionary,
                                 IngestError, association_weight,
-                                chi2_statistic, contingency_table,
-                                g_statistic, parse_document_line,
-                                phi_coefficient)
+                                chi2_statistic, g_statistic,
+                                parse_document_line, phi_coefficient,
+                                settles_at_zero, table_weight)
 from densestream.streams import format_update
+from tests.conftest import contingency_table
 
 
 # -- decayed counters ------------------------------------------------------------
@@ -262,6 +264,84 @@ def test_staleness_error_metric_is_computable():
     assert all(math.isfinite(e) for e in errors)
 
 
+# -- the screen -------------------------------------------------------------------------
+
+def _nudged(rng, x, spread=16):
+    """x moved by up to `spread` floats either way."""
+    step = rng.randint(-spread, spread)
+    for _ in range(abs(step)):
+        x = math.nextafter(x, math.copysign(math.inf, step))
+    return x
+
+
+def _support(rng, n):
+    pick = rng.random()
+    if pick < 0.4:
+        return rng.uniform(0.0, n)
+    if pick < 0.6:
+        return n * 10 ** -rng.uniform(0, 6)           # rare
+    if pick < 0.8:
+        return n * (1 - 10 ** -rng.uniform(0, 16))    # in nearly every post
+    return _nudged(rng, min(n, rng.choice([5.0, 6.0, 10.0, n / 2])))
+
+
+def _screen_draws(rng, count):
+    """(n, k1, k2, stored k11, decay factor), with n >= 1 as after a post.
+
+    Most draws put the stored k11 at a boundary, a few floats or a relative
+    1e-6 or 1e-9 either side: phi = 0, X2 = 3.841, 2*X2 = 6.635 and X2 =
+    6.635 (X2 read as the screen reads it).  A share are clamp cases: k11 at
+    min(k1, k2), or n at k1 + k2 - k11.  A tenth are pairs seen together in
+    all posts but a few floats' worth.  Half the draws do not decay k11."""
+    levels = [None, 0.0, CHI2_CRITICAL, LLR_CRITICAL / 2, LLR_CRITICAL]
+    for _ in range(count):
+        n = 10 ** rng.uniform(0, 5)
+        k1 = _support(rng, n)
+        if rng.random() < 0.1:
+            k2 = _nudged(rng, k1, 2)
+            k11 = _nudged(rng, min(k1, k2), 2)
+            n = max(_nudged(rng, k1 + k2 - k11, 4), 1.0)
+        else:
+            k2 = _support(rng, n)
+            level, kk = rng.choice(levels), k1 * k2
+            den = kk * (n - k1) * (n - k2)
+            if level is None or den <= 0:
+                k11 = rng.uniform(0.0, min(k1, k2))
+            else:
+                k11 = (kk + math.sqrt(level * den / n)) / n
+                k11 *= 1 + rng.choice([0.0, 1e-6, 1e-9]) * rng.uniform(-3, 3)
+            k11 = min(k11, k1, k2)  # a co-occurrence never tops a support
+            pick = rng.random()
+            if pick < 0.15:
+                k11 = min(k1, k2)
+            if pick < 0.3 and k1 + k2 - k11 >= 1:
+                n = _nudged(rng, k1 + k2 - k11)
+            k11 = _nudged(rng, k11)
+        pick = rng.random()
+        decay = (1.0 if pick < 0.5 else 1.0 - rng.randint(1, 16) * 2.0 ** -53 if pick < 0.6
+                 else rng.uniform(0.0, 1.0) if pick < 0.8 else 10 ** -rng.uniform(0, 3))
+        yield n, k1, k2, k11, decay
+
+
+@pytest.mark.parametrize("measure", ["llr", "chi2"])
+def test_the_screen_settles_only_pairs_that_weigh_zero(measure):
+    """Whenever the screen settles a pair, its table weighs exactly 0 at the
+    decayed co-occurrence, with the entities in either order."""
+    measure = AssociationMeasure(measure)
+    rng = random.Random(f"screen-{measure.value}")
+    settled = weighed = 0
+    for n, k1, k2, k11, decay in _screen_draws(rng, 60000):
+        decayed = k11 * decay
+        for a, b in ((k1, k2), (k2, k1)):
+            if settles_at_zero(measure, n, a, b, k11):
+                settled += 1
+                assert table_weight(measure, n, a, b, decayed) == 0.0, (n, a, b, k11, decay)
+                assert table_weight(measure, n, b, a, decayed) == 0.0, (n, a, b, k11, decay)
+            elif table_weight(measure, n, a, b, decayed) != 0.0:
+                weighed += 1
+    assert settled > 40000 and weighed > 2000
+
+
 # -- the per-post loop against the per-pair reference -----------------------------------
 
 class PerPairIngestor(DocumentIngestor):
@@ -329,7 +409,8 @@ def test_per_post_loop_emits_what_the_per_pair_loop_emits(measure, mean_life):
         ref = PerPairIngestor(measure, mean_life)
         for t, ents in _bursty_stream(rng, mean_life):
             assert ing.process_document(t, ents) == ref.process_document(t, ents)
-        work = (ing.pairs_reweighed, ing.pairs_tabled, ing.updates_emitted)
+        work = (ing.pairs_reweighed, ing.pairs_tabled + ing.pairs_screened,
+                ing.updates_emitted)
         assert work == (ref.pairs_reweighed, ref.pairs_tabled, ref.updates_emitted)
         emitted += ing.updates_emitted
     assert emitted > 0
@@ -411,6 +492,12 @@ STORY_STREAM_SHA256 = {  # format_update lines, computed with the per-pair loop
     "llr": "f7fe1606352b83a7e8ec78ebec3302b53f00753a8f09f639646b59fa7af498a7",
     "chi2": "9fe510fbd5101acc05918258540e2f30a95244cf08524036fce3a0a6a3101c2a",
 }
+# (pairs_reweighed, pairs_tabled, pairs_screened, updates_emitted) on the same
+# stream: a weaker screen tables more pairs
+STORY_STREAM_WORK = {
+    "llr": (111880, 14617, 97263, 136),
+    "chi2": (199238, 38629, 160609, 31448),
+}
 
 
 def _story_stream(seed=7, count=2000):
@@ -438,6 +525,9 @@ def test_update_stream_is_pinned_on_a_story_stream(measure):
         for u in ing.process_document(t, ents):
             h.update(format_update(u).encode() + b"\n")
     assert h.hexdigest() == STORY_STREAM_SHA256[measure]
+    work = (ing.pairs_reweighed, ing.pairs_tabled, ing.pairs_screened, ing.updates_emitted)
+    assert work == STORY_STREAM_WORK[measure]
+    assert ing.pairs_screened > 0
 
 
 @pytest.mark.parametrize("measure", ["llr", "chi2"])
